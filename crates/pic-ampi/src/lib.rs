@@ -13,8 +13,9 @@
 //!   strategy the paper selected), [`balancer::Balancer::Greedy`] (full
 //!   Charm++-GreedyLB-style remap) and `None`;
 //! * [`runtime`] — a functional threaded execution: each `pic-comm` rank
-//!   plays a core driving its assigned VPs, with VP migration, particle
-//!   routing through the VP ownership map, and full verification;
+//!   plays a core driving its assigned VPs, one binned store per VP
+//!   ([`AmpiRankState`]), with whole-VP migration, particle routing
+//!   through the VP ownership map, and full verification;
 //! * [`model`] — the same mechanics against the analytic load model for
 //!   full-scale modeled runs (Figures 5–7), including the runtime's
 //!   invocation overhead, migration volume, and the post-migration
@@ -27,5 +28,5 @@ pub mod vp;
 
 pub use balancer::Balancer;
 pub use model::{model_ampi, AmpiParams};
-pub use runtime::{run_ampi, run_ampi_adaptive};
+pub use runtime::{run_ampi, run_ampi_adaptive, AmpiRankState};
 pub use vp::VpGrid;

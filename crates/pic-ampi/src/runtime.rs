@@ -5,8 +5,15 @@
 //! computed from an allgathered VP-load vector by the *same* deterministic
 //! strategy on every core, so no broadcast of the decision is needed —
 //! exactly like deterministic replicated decision-making in runtime
-//! systems. VP migration is a particle hand-off: the receiving core
-//! re-derives VP membership from particle positions.
+//! systems.
+//!
+//! The VP is both the balancing unit and the storage unit, as with
+//! Smilei's patches: a core keeps one store per owned VP, binned over that
+//! VP's column slab ([`AmpiRankState`]). The per-step exchange tests only
+//! the bins a particle can have left its VP from, hands a crosser bound for
+//! another VP of the same core straight to that VP's store, and puts the
+//! rest on the wire. VP migration ships a whole store to its new core,
+//! which rebuilds it.
 //!
 //! The run is fully verified (analytic trajectories + id checksum), which
 //! is the point of the PRK: a lost particle in any migration or exchange
@@ -20,15 +27,18 @@ use pic_comm::collective::{
     encode_u64s,
 };
 use pic_comm::comm::{Communicator, ReduceOp};
+use pic_core::charge::SimConstants;
 use pic_core::events::{Event, EventKind};
-use pic_core::init::build_injection;
+use pic_core::geometry::Grid;
+use pic_core::init::{build_injection, SimulationSetup};
 use pic_core::motion::advance_all;
 use pic_core::particle::Particle;
+use pic_core::soa::ParticleBatch;
 use pic_core::verify::{verify_all, VerifyReport, DEFAULT_TOLERANCE};
-use pic_par::exchange::{route_binned_with, route_particles_with, ExchangeBuffers};
+use pic_par::exchange::{route_particles_with, ExchangeBuffers};
 use pic_par::runner::{
     merge_failing_ids, snapshot_loads, trace_interval, ExchangeMode, ParConfig, ParOutcome,
-    RankStore,
+    RankKernel, RankStore,
 };
 use pic_trace::{Phase, Tracer};
 
@@ -89,48 +99,8 @@ fn run_ampi_lb(
     lb: &mut dyn LoadBalancer,
     tracer: &mut Tracer,
 ) -> ParOutcome {
-    let grid = cfg.setup.grid;
-    let consts = cfg.setup.consts;
     let cores = comm.size();
-    let me = comm.rank();
-    let vps = VpGrid::new(grid.ncells(), cores, d);
-    let nvps = vps.vp_count();
-    let mut assignment = vps.initial_assignment();
-
-    let owner_of = |p: &Particle, vps: &VpGrid, assignment: &[usize]| -> usize {
-        let (c, r) = p_cell(&grid, p);
-        assignment[vps.vp_of_cell(c, r)]
-    };
-
-    // Local population: particles whose VP is initially assigned to me.
-    // VP ownership is not column-contiguous, so the binned path bins the
-    // whole grid (forces come from the mesh-charge formula — the whole
-    // mesh is replicated knowledge, eq. 3).
-    let locals: Vec<Particle> = cfg
-        .setup
-        .particles
-        .iter()
-        .filter(|p| owner_of(p, &vps, &assignment) == me)
-        .copied()
-        .collect();
-    let mut store = RankStore::build(locals, &grid, cfg.kernel, (0, grid.ncells()));
-    let mut bufs = ExchangeBuffers::new();
-    bufs.set_wire_format(cfg.kernel.wire);
-    // VP routing can target any core, so the declared neighborhood is
-    // all-pairs (degree = cores − 1): `Auto` therefore resolves dense —
-    // the sparse protocol can never elide a message it has to count.
-    if cfg.kernel.exchange.resolve(cores, cores - 1) == ExchangeMode::OverlappedSparse {
-        // The escape path never fires under an all-pairs plan, but empty
-        // payloads are still elided (sparse wins whenever traffic is, in
-        // fact, sparse).
-        bufs.enable_sparse(cores, me, 0..cores);
-    }
-
-    let mut events = cfg.setup.events.clone();
-    events.sort_by_key(|e| e.at_step);
-    let mut next_event = 0usize;
-    let mut expected_id_sum = cfg.setup.initial_id_sum();
-    let mut next_id = cfg.setup.next_id;
+    let mut st = AmpiRankState::new(&cfg.setup, cores, comm.rank(), d, cfg.kernel);
 
     let every = trace_interval(comm, tracer);
     tracer.emit_run_header(
@@ -138,105 +108,43 @@ fn run_ampi_lb(
         cores,
         cfg.setup.particles.len() as u64,
         cfg.steps as u64,
-        &store.kernel_desc(),
+        st.kernel_desc(),
         lb.name(),
     );
     let mut sent_window = 0u64;
     let mut global_count = cfg.setup.particles.len() as u64;
 
     for s in 1..=cfg.steps {
-        let step_idx = s - 1;
         tracer.begin_step(s as u64);
-        // Events due at the start of this step.
-        while next_event < events.len() && events[next_event].at_step == step_idx {
-            let e: Event = events[next_event];
-            next_event += 1;
-            match e.kind {
-                EventKind::Inject { count, k, m, dir } => {
-                    let newcomers = build_injection(
-                        grid,
-                        consts,
-                        e.region,
-                        count,
-                        k,
-                        m,
-                        dir,
-                        step_idx,
-                        &mut next_id,
-                    );
-                    for p in &newcomers {
-                        expected_id_sum += p.id as u128;
-                        if owner_of(p, &vps, &assignment) == me {
-                            store.push(*p);
-                        }
-                    }
-                }
-                EventKind::Remove { count } => {
-                    let mut local_ids = store.ids_in_region(&e.region);
-                    local_ids.sort_unstable();
-                    let gathered = allgatherv(comm, encode_u64s(&local_ids));
-                    let mut all: Vec<u64> = gathered.iter().flat_map(|b| decode_u64s(b)).collect();
-                    all.sort_unstable();
-                    all.truncate(count as usize);
-                    let doomed: std::collections::HashSet<u64> = all.iter().copied().collect();
-                    for &id in &all {
-                        expected_id_sum -= id as u128;
-                    }
-                    store.remove_ids(&doomed);
-                }
-            }
-        }
-
-        // Advance each VP's particles (one pass — VP membership only
-        // matters for routing and accounting).
+        st.apply_due_events(comm, s - 1);
         tracer.phase_start(Phase::Advance);
-        match &mut store {
-            RankStore::Aos(particles) => advance_all(&grid, &consts, particles),
-            RankStore::Binned(b) => b.sweep_local(&grid, &consts, None),
-        }
+        st.sweep();
         tracer.phase_end(Phase::Advance);
         tracer.phase_start(Phase::Exchange);
-        let (sent, _received) =
-            route_store(comm, me, &grid, &vps, &assignment, &mut store, &mut bufs);
-        if let RankStore::Binned(b) = &mut store {
-            if b.rebin_due() {
-                b.rebin(&grid);
-            }
-        }
+        sent_window += st.exchange(comm) as u64;
         tracer.phase_end(Phase::Exchange);
-        sent_window += sent as u64;
 
         // Runtime load balancing (never on the final step, matching the
         // historical cadence).
         if lb.wants(s as u64) && s < cfg.steps {
             tracer.phase_start(Phase::Balance);
-            sent_window += rebalance(
-                comm,
-                &vps,
-                &mut assignment,
-                s as u64,
-                lb,
-                &mut store,
-                &mut bufs,
-                me,
-                &grid,
-                tracer,
-            ) as u64;
+            sent_window += st.rebalance(comm, s as u64, lb, tracer) as u64;
             tracer.phase_end(Phase::Balance);
         }
 
         if every > 0 && (s as u64).is_multiple_of(every) {
-            let msgs = bufs.take_message_counts();
-            global_count = snapshot_loads(comm, tracer, store.len() as u64, sent_window, msgs);
+            let msgs = st.bufs.take_message_counts();
+            global_count = snapshot_loads(comm, tracer, st.local_count() as u64, sent_window, msgs);
             sent_window = 0;
         }
         tracer.end_step(global_count);
     }
 
-    // Distributed verification.
-    let particles = store.to_particles();
+    // Distributed verification, over the one materialized copy of the
+    // VP stores.
     tracer.phase_start(Phase::Verify);
-    let local = verify_all(&grid, &particles, cfg.steps, 0, DEFAULT_TOLERANCE);
+    let particles = st.to_particles();
+    let local = verify_all(&cfg.setup.grid, &particles, cfg.steps, 0, DEFAULT_TOLERANCE);
     let checked = allreduce_u64(comm, local.checked, ReduceOp::Sum);
     let failures = allreduce_u64(comm, local.position_failures, ReduceOp::Sum);
     let max_error = allreduce_f64(comm, local.max_error, ReduceOp::Max);
@@ -247,7 +155,6 @@ fn run_ampi_lb(
     let max_count = allreduce_u64(comm, local_count, ReduceOp::Max);
     let total_count = allreduce_u64(comm, local_count, ReduceOp::Sum);
     tracer.set_final_particles(total_count);
-    let _ = nvps;
     ParOutcome {
         verify: VerifyReport {
             checked,
@@ -255,132 +162,428 @@ fn run_ampi_lb(
             max_error,
             failing_ids,
             id_sum,
-            expected_id_sum,
+            expected_id_sum: st.expected_id_sum,
             tolerance: DEFAULT_TOLERANCE,
         },
         local_count: particles.len(),
         max_count,
         total_count,
         steps: cfg.steps,
-        kernel: store.kernel_desc(),
+        kernel: st.kernel_desc,
         local_particles: particles,
     }
 }
 
-/// Route mis-assigned particles to the core owning their VP, through
-/// whichever store the run uses (the binned path drains leavers in place).
-fn route_store(
-    comm: &Communicator,
-    me: usize,
-    grid: &pic_core::geometry::Grid,
-    vps: &VpGrid,
-    assignment: &[usize],
-    store: &mut RankStore,
-    bufs: &mut ExchangeBuffers,
-) -> (usize, usize) {
-    match store {
-        RankStore::Aos(particles) => route_particles_with(
-            comm,
-            me,
-            |p| {
-                let (c, r) = grid.cell_of_point(p.x, p.y);
-                assignment[vps.vp_of_cell(c, r)]
-            },
-            particles,
-            bufs,
-        ),
-        RankStore::Binned(b) => route_binned_with(
-            comm,
-            me,
-            |c, r| assignment[vps.vp_of_cell(c, r)],
-            b,
+/// One core's share of the AMPI runtime: the replicated VP→core table and
+/// one [`RankStore`] per owned VP, binned over that VP's column slab.
+///
+/// Invariants between steps: `stores[vp]` is `Some` exactly when
+/// `assignment[vp]` is this core, and every particle of `stores[vp]` lies
+/// in VP `vp`'s tile — so per-VP counts are store lengths.
+pub struct AmpiRankState {
+    grid: Grid,
+    consts: SimConstants,
+    rank: usize,
+    kernel: RankKernel,
+    vps: VpGrid,
+    assignment: Vec<usize>,
+    /// One slot per VP; `Some` for the VPs assigned to this core.
+    stores: Vec<Option<RankStore>>,
+    /// Kernel descriptor of the VP stores (fixed at construction: a core
+    /// may later own no VP at all).
+    kernel_desc: String,
+    /// Reused exchange staging buffers.
+    bufs: ExchangeBuffers,
+    /// VP-edge crossers staged between the drains and the wire; after the
+    /// wire it holds the arrivals. Reused across steps.
+    crossers: Vec<Particle>,
+    /// The one gather buffer every VP store of this core rebins through
+    /// ([`BinnedStore::rebin_with`]), instead of one per store.
+    ///
+    /// [`BinnedStore::rebin_with`]: pic_core::bin::BinnedStore::rebin_with
+    rebin_spare: ParticleBatch,
+    /// Largest per-step column stride `2k + 1` toward −x and toward +x
+    /// (0 when nothing moves that way), and the largest row hop `|m|`,
+    /// over the population and every injection — exact analytic bounds.
+    reach_left: usize,
+    reach_right: usize,
+    max_abs_m: i64,
+    events: Vec<Event>,
+    next_event: usize,
+    /// Global id ledger — identical on every core because events are
+    /// applied deterministically everywhere.
+    expected_id_sum: u128,
+    next_id: u64,
+}
+
+impl AmpiRankState {
+    /// Build core `rank`'s state for a `cores`-core run with
+    /// over-decomposition `d`: the locality-preserving initial VP
+    /// placement ([`VpGrid::initial_assignment`]) and one store per owned
+    /// VP holding the setup's particles in that VP's tile. This is the
+    /// runtime's own construction; it needs no communicator.
+    pub fn new(
+        setup: &SimulationSetup,
+        cores: usize,
+        rank: usize,
+        d: usize,
+        kernel: RankKernel,
+    ) -> AmpiRankState {
+        let grid = setup.grid;
+        let vps = VpGrid::new(grid.ncells(), cores, d);
+        let assignment = vps.initial_assignment();
+        let (mut reach_left, mut reach_right, mut max_abs_m) = (0usize, 0usize, 0i64);
+        let mut reach = |dir: i8, k: u32, m: i32| {
+            let stride = 2 * k as usize + 1;
+            if dir < 0 {
+                reach_left = reach_left.max(stride);
+            } else {
+                reach_right = reach_right.max(stride);
+            }
+            max_abs_m = max_abs_m.max((m as i64).abs());
+        };
+        let mut buckets: Vec<Vec<Particle>> = vec![Vec::new(); vps.vp_count()];
+        for p in &setup.particles {
+            reach(p.direction(&grid), p.k, p.m);
+            let vp = vp_of(&vps, &grid, p);
+            if assignment[vp] == rank {
+                buckets[vp].push(*p);
+            }
+        }
+        for e in &setup.events {
+            if let EventKind::Inject { k, m, dir, .. } = e.kind {
+                reach(dir, k, m);
+            }
+        }
+        let stores: Vec<Option<RankStore>> = buckets
+            .into_iter()
+            .enumerate()
+            .map(|(vp, ps)| (assignment[vp] == rank).then(|| vp_store(ps, &grid, kernel, &vps, vp)))
+            .collect();
+        let kernel_desc = stores
+            .iter()
+            .flatten()
+            .next()
+            .expect("the initial placement gives every core d VPs")
+            .kernel_desc();
+        let mut bufs = ExchangeBuffers::new();
+        bufs.set_wire_format(kernel.wire);
+        // VP routing can target any core, so the declared neighborhood is
+        // all-pairs (degree = cores − 1): `Auto` therefore resolves dense,
+        // and the sparse protocol only elides empty payloads.
+        if kernel.exchange.resolve(cores, cores - 1) == ExchangeMode::OverlappedSparse {
+            bufs.enable_sparse(cores, rank, 0..cores);
+        }
+        let mut events = setup.events.clone();
+        events.sort_by_key(|e| e.at_step);
+        AmpiRankState {
             grid,
+            consts: setup.consts,
+            rank,
+            kernel,
+            vps,
+            assignment,
+            stores,
+            kernel_desc,
             bufs,
-        ),
+            crossers: Vec::new(),
+            rebin_spare: ParticleBatch::new(),
+            reach_left,
+            reach_right,
+            max_abs_m,
+            events,
+            next_event: 0,
+            expected_id_sum: setup.initial_id_sum(),
+            next_id: setup.next_id,
+        }
+    }
+
+    /// Kernel descriptor of the VP stores (see [`RankStore::kernel_desc`]).
+    pub fn kernel_desc(&self) -> &str {
+        &self.kernel_desc
+    }
+
+    /// Particles held by this core, over all its VPs.
+    pub fn local_count(&self) -> usize {
+        self.stores.iter().flatten().map(RankStore::len).sum()
+    }
+
+    /// Per-VP particle counts, zero for VPs owned elsewhere: O(VPs), read
+    /// from the store lengths, because every particle sits in its VP's
+    /// store between steps.
+    fn vp_counts(&self) -> Vec<u64> {
+        self.stores
+            .iter()
+            .map(|s| s.as_ref().map_or(0, |s| s.len() as u64))
+            .collect()
+    }
+
+    /// This core's particles in canonical (ascending-id) order. Allocates;
+    /// verification path.
+    fn to_particles(&self) -> Vec<Particle> {
+        let mut out = Vec::with_capacity(self.local_count());
+        for store in self.stores.iter().flatten() {
+            append_particles(store, &mut out);
+        }
+        out.sort_unstable_by_key(|p| p.id);
+        out
+    }
+
+    /// Apply the events due at the start of step `step` (0-based).
+    /// Injections are materialized identically on every core and filed
+    /// into the owning VP's store; removals are resolved collectively so
+    /// every core agrees on the doomed id set.
+    fn apply_due_events(&mut self, comm: &Communicator, step: u32) {
+        while self.next_event < self.events.len() && self.events[self.next_event].at_step == step {
+            let e = self.events[self.next_event];
+            self.next_event += 1;
+            match e.kind {
+                EventKind::Inject { count, k, m, dir } => {
+                    let newcomers = build_injection(
+                        self.grid,
+                        self.consts,
+                        e.region,
+                        count,
+                        k,
+                        m,
+                        dir,
+                        step,
+                        &mut self.next_id,
+                    );
+                    for p in newcomers {
+                        self.expected_id_sum += p.id as u128;
+                        if let Some(store) = &mut self.stores[vp_of(&self.vps, &self.grid, &p)] {
+                            store.push(p);
+                        }
+                    }
+                }
+                EventKind::Remove { count } => {
+                    let mut local_ids: Vec<u64> = self
+                        .stores
+                        .iter()
+                        .flatten()
+                        .flat_map(|s| s.ids_in_region(&e.region))
+                        .collect();
+                    local_ids.sort_unstable();
+                    let gathered = allgatherv(comm, encode_u64s(&local_ids));
+                    let mut all: Vec<u64> = gathered.iter().flat_map(|b| decode_u64s(b)).collect();
+                    all.sort_unstable();
+                    all.truncate(count as usize);
+                    let doomed: std::collections::HashSet<u64> = all.iter().copied().collect();
+                    for &id in &all {
+                        self.expected_id_sum -= id as u128;
+                    }
+                    for store in self.stores.iter_mut().flatten() {
+                        store.remove_ids(&doomed);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Advance every owned VP one step. Mesh charges come from the
+    /// analytic formula (`None`) — the whole mesh is replicated knowledge
+    /// (eq. 3) — and bin parity uses the global column, so a VP store's
+    /// sweep is the same arithmetic as a whole-grid store's.
+    fn sweep(&mut self) {
+        for store in self.stores.iter_mut().flatten() {
+            match store {
+                RankStore::Aos(ps) => advance_all(&self.grid, &self.consts, ps),
+                RankStore::Binned(b) => b.sweep_local(&self.grid, &self.consts, None),
+            }
+        }
+    }
+
+    /// Rehome every particle that left its VP's tile, then run the
+    /// amortized rebins. A binned VP store tests only the bins within
+    /// drift reach of its x-edges — a particle in bin `b` has moved at
+    /// most `stride · age` columns since the last rebin, in its own
+    /// direction — unless the VP has a y-edge and particles move
+    /// vertically, when a row leaver can sit in any bin. A crosser bound
+    /// for another VP of this core goes straight to that VP's tail; the
+    /// rest travel in the step's one all-to-all, and arrivals are filed
+    /// into their VP's store by cell. Returns the number of particles
+    /// sent to other cores.
+    fn exchange(&mut self, comm: &Communicator) -> usize {
+        let grid = self.grid;
+        let full = (0, grid.ncells());
+        let crossers = &mut self.crossers;
+        crossers.clear();
+        for (vp, slot) in self.stores.iter_mut().enumerate() {
+            let Some(store) = slot else { continue };
+            let ((x0, x1), (y0, y1)) = self.vps.decomp.bounds(vp);
+            let in_tile = |c: usize, r: usize| (x0..x1).contains(&c) && (y0..y1).contains(&r);
+            match store {
+                RankStore::Aos(ps) => ps.retain(|p| {
+                    let (c, r) = grid.cell_of_point(p.x, p.y);
+                    in_tile(c, r) || {
+                        crossers.push(*p);
+                        false
+                    }
+                }),
+                RankStore::Binned(b) => {
+                    let rows_crossable = self.max_abs_m > 0 && (y0, y1) != full;
+                    let age = b.age() as usize;
+                    let lo = (x0 + self.reach_left * age).min(x1);
+                    let hi = x1.saturating_sub(self.reach_right * age).max(lo);
+                    b.drain_leavers_cols_into(
+                        &grid,
+                        |c| rows_crossable || !(lo..hi).contains(&c),
+                        in_tile,
+                        |p| crossers.push(p),
+                    );
+                }
+            }
+        }
+        let (vps, assignment, stores) = (&self.vps, &self.assignment, &mut self.stores);
+        crossers.retain(|p| match &mut stores[vp_of(vps, &grid, p)] {
+            Some(store) => {
+                store.push(*p);
+                false
+            }
+            None => true,
+        });
+        let (sent, _received) = route_particles_with(
+            comm,
+            self.rank,
+            |p| assignment[vp_of(vps, &grid, p)],
+            crossers,
+            &mut self.bufs,
+        );
+        for p in crossers.drain(..) {
+            stores[vp_of(vps, &grid, &p)]
+                .as_mut()
+                .expect("arrival routed to a VP this core does not own")
+                .push(p);
+        }
+        // The counting sort runs after the exchange, so it only ever sees
+        // homed particles.
+        for store in stores.iter_mut().flatten() {
+            if let RankStore::Binned(b) = store {
+                if b.rebin_due() {
+                    b.rebin_with(&grid, &mut self.rebin_spare);
+                }
+            }
+        }
+        sent
+    }
+
+    /// One LB round: allgather the per-VP counts, let the balancer decide
+    /// deterministically on every core, then migrate every reassigned VP
+    /// whole. Returns the number of particles this core sent.
+    fn rebalance(
+        &mut self,
+        comm: &Communicator,
+        step: u64,
+        lb: &mut dyn LoadBalancer,
+        tracer: &mut Tracer,
+    ) -> usize {
+        // Per-VP counts are store lengths (O(VPs)); each VP lives on
+        // exactly one core, so the vector sum assembles the global view.
+        let counts = self.vp_counts();
+        let gathered = allgatherv(comm, encode_u64s(&counts));
+        tracer.add(pic_trace::Counter::CollectiveBytes, counts.len() as u64 * 8);
+        let mut global = vec![0u64; counts.len()];
+        let mut scratch = Vec::with_capacity(counts.len());
+        for buf in &gathered {
+            decode_u64s_into(buf, &mut scratch);
+            for (slot, v) in global.iter_mut().zip(&scratch) {
+                *slot += v;
+            }
+        }
+        let decision = {
+            let layout = Layout {
+                ncells: self.grid.ncells(),
+                ranks: comm.size(),
+                xcuts: &[],
+                ycuts: &[],
+                vp_assignment: &self.assignment,
+            };
+            let input = BalanceInput {
+                step,
+                col_hist: &[],
+                row_counts: &[],
+                vp_counts: &global,
+            };
+            lb.decide(&input, &layout)
+        };
+        if let Some(sw) = &decision.switched {
+            tracer.record_switch(sw.from, sw.to, sw.imbalance);
+        }
+        if let Some(vp) = decision.vps {
+            // The VP-assignment analogue of a cut decision: old table, the
+            // per-VP counts the balancer saw, new table.
+            tracer.record_cuts('v', &self.assignment, &vp.counts, &vp.assignment);
+            self.assignment = vp.assignment;
+        }
+        self.migrate(comm)
+    }
+
+    /// Ship the store of every VP now assigned elsewhere to its new core,
+    /// in one payload per destination through one all-to-all (entered by
+    /// every core even when no VP moved), and rebuild the store of every
+    /// VP this core gained from its arrivals. Returns the number of
+    /// particles this core sent.
+    fn migrate(&mut self, comm: &Communicator) -> usize {
+        let mut moving = Vec::new();
+        for (vp, slot) in self.stores.iter_mut().enumerate() {
+            if self.assignment[vp] != self.rank {
+                if let Some(store) = slot.take() {
+                    append_particles(&store, &mut moving);
+                }
+            }
+        }
+        let (vps, assignment, grid) = (&self.vps, &self.assignment, self.grid);
+        let (sent, _received) = route_particles_with(
+            comm,
+            self.rank,
+            |p| assignment[vp_of(vps, &grid, p)],
+            &mut moving,
+            &mut self.bufs,
+        );
+        // `moving` now holds the arrivals: whole VPs, each from its one
+        // previous owner.
+        let mut gained: Vec<Vec<Particle>> = vec![Vec::new(); vps.vp_count()];
+        for p in moving {
+            gained[vp_of(vps, &grid, &p)].push(p);
+        }
+        for (vp, ps) in gained.into_iter().enumerate() {
+            if assignment[vp] == self.rank && self.stores[vp].is_none() {
+                self.stores[vp] = Some(vp_store(ps, &grid, self.kernel, vps, vp));
+            }
+        }
+        sent
     }
 }
 
-#[inline]
-fn p_cell(grid: &pic_core::geometry::Grid, p: &Particle) -> (usize, usize) {
-    grid.cell_of_point(p.x, p.y)
+/// The VP owning the cell under `p`.
+fn vp_of(vps: &VpGrid, grid: &Grid, p: &Particle) -> usize {
+    let (c, r) = grid.cell_of_point(p.x, p.y);
+    vps.vp_of_cell(c, r)
 }
 
-/// One LB round: allgather per-VP loads, let the balancer decide
-/// deterministically on every core, migrate the particles of reassigned
-/// VPs. Returns the number of particles this core sent during the
-/// migration.
-#[allow(clippy::too_many_arguments)]
-fn rebalance(
-    comm: &Communicator,
+/// A store for VP `vp`'s particles, binned (on the binned path) over the
+/// VP's column slab.
+fn vp_store(
+    particles: Vec<Particle>,
+    grid: &Grid,
+    kernel: RankKernel,
     vps: &VpGrid,
-    assignment: &mut Vec<usize>,
-    step: u64,
-    lb: &mut dyn LoadBalancer,
-    store: &mut RankStore,
-    bufs: &mut ExchangeBuffers,
-    me: usize,
-    grid: &pic_core::geometry::Grid,
-    tracer: &mut Tracer,
-) -> usize {
-    let nvps = vps.vp_count();
-    // Local per-VP counts (VPs are 2D tiles, so this is a position scan,
-    // not a column-histogram read).
-    let mut counts = vec![0u64; nvps];
+    vp: usize,
+) -> RankStore {
+    let (cols, _rows) = vps.decomp.bounds(vp);
+    RankStore::build(particles, grid, kernel, cols)
+}
+
+/// Append a store's particles to `out` in storage order.
+fn append_particles(store: &RankStore, out: &mut Vec<Particle>) {
     match store {
-        RankStore::Aos(v) => {
-            for p in v.iter() {
-                let (c, r) = p_cell(grid, p);
-                counts[vps.vp_of_cell(c, r)] += 1;
-            }
-        }
+        RankStore::Aos(ps) => out.extend_from_slice(ps),
         RankStore::Binned(b) => {
             let batch = b.batch();
-            for i in 0..batch.len() {
-                let (c, r) = grid.cell_of_point(batch.x[i], batch.y[i]);
-                counts[vps.vp_of_cell(c, r)] += 1;
-            }
+            out.extend((0..batch.len()).map(|i| batch.get(i)));
         }
     }
-    // Sum across cores (each VP lives on exactly one core, but the vector
-    // sum is the simplest way to assemble the global view).
-    let gathered = allgatherv(comm, encode_u64s(&counts));
-    tracer.add(pic_trace::Counter::CollectiveBytes, counts.len() as u64 * 8);
-    let mut global = vec![0u64; nvps];
-    let mut scratch = Vec::with_capacity(nvps);
-    for buf in &gathered {
-        decode_u64s_into(buf, &mut scratch);
-        for (slot, v) in global.iter_mut().zip(&scratch) {
-            *slot += v;
-        }
-    }
-    let decision = {
-        let layout = Layout {
-            ncells: grid.ncells(),
-            ranks: comm.size(),
-            xcuts: &[],
-            ycuts: &[],
-            vp_assignment: assignment,
-        };
-        let input = BalanceInput {
-            step,
-            col_hist: &[],
-            row_counts: &[],
-            vp_counts: &global,
-        };
-        lb.decide(&input, &layout)
-    };
-    if let Some(sw) = &decision.switched {
-        tracer.record_switch(sw.from, sw.to, sw.imbalance);
-    }
-    if let Some(vp) = decision.vps {
-        // The VP-assignment analogue of a cut decision: old table, the
-        // per-VP counts the balancer saw, new table.
-        tracer.record_cuts('v', assignment, &vp.counts, &vp.assignment);
-        *assignment = vp.assignment;
-    }
-    // Migrate: particles whose VP moved away get routed to the new owner.
-    let (sent, _received) = route_store(comm, me, grid, vps, assignment, store, bufs);
-    sent
 }
 
 #[cfg(test)]
@@ -409,6 +612,95 @@ mod tests {
             d,
             interval,
             balancer: Balancer::paper_default(),
+        }
+    }
+
+    /// Check the between-steps invariants of a core's VP stores: a store
+    /// exists exactly for each owned VP, binned over that VP's column
+    /// slab; every particle sits in its own VP's tile; and the
+    /// store-length counts equal a position scan.
+    fn assert_vp_stores_homed(st: &AmpiRankState, label: &str) {
+        let mut scan = vec![0u64; st.vps.vp_count()];
+        for (vp, slot) in st.stores.iter().enumerate() {
+            assert_eq!(
+                slot.is_some(),
+                st.assignment[vp] == st.rank,
+                "{label}: VP {vp} store vs ownership"
+            );
+            let Some(store) = slot else { continue };
+            if let RankStore::Binned(b) = store {
+                assert_eq!(
+                    b.columns(),
+                    st.vps.decomp.bounds(vp).0,
+                    "{label}: VP {vp} slab"
+                );
+            }
+            let mut ps = Vec::new();
+            append_particles(store, &mut ps);
+            for p in &ps {
+                let home = vp_of(&st.vps, &st.grid, p);
+                assert_eq!(home, vp, "{label}: particle {} outside VP {vp}", p.id);
+                scan[home] += 1;
+            }
+        }
+        assert_eq!(
+            st.vp_counts(),
+            scan,
+            "{label}: store lengths vs position scan"
+        );
+    }
+
+    #[test]
+    fn every_exchange_and_migration_leaves_particles_in_their_vp_tile() {
+        let hot = Region {
+            x0: 0,
+            x1: 10,
+            y0: 0,
+            y1: 32,
+        };
+        let shapes = [(0u32, 0i32, 1i8), (1, 0, -1), (0, 1, 1), (2, -1, 1)];
+        for (k, m, dir) in shapes {
+            let setup = InitConfig::new(
+                Grid::new(32).unwrap(),
+                700,
+                Distribution::Geometric { r: 0.85 },
+            )
+            .with_k(k)
+            .with_m(m)
+            .with_dir(dir)
+            .build()
+            .unwrap()
+            .with_event(Event::inject(5, hot, 60, 1, 1, -1))
+            .with_event(Event::remove(9, hot, 40));
+            for (cores, d) in [(1usize, 4usize), (2, 4), (3, 2), (4, 8)] {
+                for kernel in [
+                    RankKernel::aos(),
+                    RankKernel::default().with_rebin_interval(3),
+                ] {
+                    let label = format!("k={k} m={m} dir={dir}, {cores} cores, d={d}, {kernel:?}");
+                    let moved = run_threads(cores, |comm| {
+                        let mut st = AmpiRankState::new(&setup, cores, comm.rank(), d, kernel);
+                        let mut lb = VpLb::new(3, Balancer::paper_default());
+                        let mut moved = 0;
+                        assert_vp_stores_homed(&st, &label);
+                        for s in 1..=18u32 {
+                            st.apply_due_events(&comm, s - 1);
+                            st.sweep();
+                            st.exchange(&comm);
+                            assert_vp_stores_homed(&st, &label);
+                            if lb.wants(s as u64) {
+                                moved +=
+                                    st.rebalance(&comm, s as u64, &mut lb, &mut Tracer::disabled());
+                                assert_vp_stores_homed(&st, &label);
+                            }
+                        }
+                        moved
+                    });
+                    if cores > 1 {
+                        assert!(moved.iter().sum::<usize>() > 0, "{label}: no VP ever moved");
+                    }
+                }
+            }
         }
     }
 

@@ -10,6 +10,8 @@
 //! final particle sets, the id checksum, every `'v'` reassignment record,
 //! and the deterministic per-step trace fields.
 
+mod common;
+
 use pic_ampi::balancer::Balancer;
 use pic_ampi::model::AmpiParams;
 use pic_ampi::runtime::run_ampi_traced;
@@ -17,7 +19,7 @@ use pic_comm::world::run_threads;
 use pic_core::dist::Distribution;
 use pic_core::geometry::Grid;
 use pic_core::init::InitConfig;
-use pic_par::runner::{ParConfig, ParOutcome};
+use pic_par::runner::{ParConfig, ParOutcome, RankKernel};
 use pic_trace::{Counter, TraceReport, Tracer};
 
 /// Pre-refactor AMPI run loop, copied verbatim from the last commit before
@@ -393,5 +395,40 @@ fn ampi_adaptive_switch_sequence_is_replicated_on_every_rank() {
             "rank {rank} disagrees on the switch sequence"
         );
         assert_eq!(report.summary.balancer, "adaptive");
+    }
+}
+
+#[test]
+fn vp_stores_match_pre_refactor_loop_across_shapes() {
+    // The frozen loop keeps one full-grid store per core; the runtime
+    // keeps one store per VP and drains only VP-edge bins. Every shape ×
+    // d × ranks × rebin must give the same particles, VP decisions and
+    // per-step counters.
+    for (shape, setup) in common::scenarios() {
+        for d in [1usize, 2, 4, 8] {
+            for ranks in [1usize, 2, 3, 4] {
+                for rebin in [1u32, 3, 16] {
+                    let c = ParConfig::new(setup.clone(), common::STEPS)
+                        .with_kernel(RankKernel::default().with_rebin_interval(rebin));
+                    let params = AmpiParams {
+                        d,
+                        interval: common::INTERVAL,
+                        balancer: Balancer::paper_default(),
+                    };
+                    let new = run_threads(ranks, |comm| {
+                        let mut t = Tracer::in_memory(1);
+                        let o = run_ampi_traced(&comm, &c, &params, &mut t);
+                        (o, t.finish())
+                    });
+                    let old = run_threads(ranks, |comm| {
+                        let mut t = Tracer::in_memory(1);
+                        let o = oracle::run_ampi_traced(&comm, &c, &params, &mut t);
+                        (o, t.finish())
+                    });
+                    let label = format!("{shape}, d={d}, {ranks} ranks, rebin {rebin}");
+                    assert_identical(&label, &new, &old);
+                }
+            }
+        }
     }
 }

@@ -1,12 +1,14 @@
 //! Rank-path equivalence for the AMPI-style runtime (DESIGN.md §13):
-//! the full-grid binned store the VP scheduler advances must be
+//! the VP-local binned stores the VP scheduler advances must be
 //! physics-identical to the AoS reference loop, whatever the balancer
 //! does to VP placement. Exact tier ⇒ bit-identical; fast tier ⇒ within
 //! the derived analytic drift bound. Also passes under `PIC_NO_SIMD=1`.
 
+mod common;
+
 use pic_ampi::balancer::Balancer;
 use pic_ampi::model::AmpiParams;
-use pic_ampi::runtime::run_ampi;
+use pic_ampi::runtime::{run_ampi, run_ampi_traced};
 use pic_comm::world::run_threads;
 use pic_core::dist::Distribution;
 use pic_core::engine::SweepMode;
@@ -15,6 +17,7 @@ use pic_core::geometry::Grid;
 use pic_core::init::InitConfig;
 use pic_core::verify::analytic_tolerance;
 use pic_par::runner::{ExchangeMode, ParConfig, ParOutcome, RankKernel, WireFormat};
+use pic_trace::{Counter, TraceReport, Tracer};
 
 const STEPS: u32 = 30;
 
@@ -152,5 +155,83 @@ fn ampi_fast_tier_drift_within_analytic_tolerance() {
             "id {}: fast-tier drift ({dx:e}, {dy:e}) exceeds {tol:e}",
             a.0
         );
+    }
+}
+
+/// Traced AMPI run of `cfg` on `ranks` cores, every rank tracing every step.
+fn run_traced(
+    cfg: &ParConfig,
+    ranks: usize,
+    d: usize,
+    balancer: Balancer,
+) -> Vec<(ParOutcome, TraceReport)> {
+    let params = AmpiParams {
+        d,
+        interval: common::INTERVAL,
+        balancer,
+    };
+    run_threads(ranks, |comm| {
+        let mut t = Tracer::in_memory(1);
+        let o = run_ampi_traced(&comm, cfg, &params, &mut t);
+        assert!(o.verify.passed(), "{:?}", o.verify);
+        (o, t.finish().expect("tracing enabled"))
+    })
+}
+
+/// Bitwise particle state plus every rank-visible record: VP decisions,
+/// loads, and the per-step counters (migrations, messages, collective
+/// bytes). Only the overlap clock, a wall-time reading, is left out.
+fn assert_same_run(label: &str, a: &[(ParOutcome, TraceReport)], b: &[(ParOutcome, TraceReport)]) {
+    let outcomes =
+        |r: &[(ParOutcome, TraceReport)]| r.iter().map(|x| x.0.clone()).collect::<Vec<_>>();
+    assert_eq!(
+        bit_finals(&outcomes(a)),
+        bit_finals(&outcomes(b)),
+        "{label}: particle bits"
+    );
+    for (rank, ((oa, ta), (ob, tb))) in a.iter().zip(b).enumerate() {
+        assert_eq!(oa.local_count, ob.local_count, "{label} rank {rank}");
+        assert_eq!(ta.cuts, tb.cuts, "{label} rank {rank}: VP decisions");
+        assert_eq!(ta.steps.len(), tb.steps.len(), "{label} rank {rank}");
+        for (sa, sb) in ta.steps.iter().zip(&tb.steps) {
+            assert_eq!(sa.loads, sb.loads, "{label} rank {rank} step {}", sa.step);
+            let mut ca = sa.counters;
+            let mut cb = sb.counters;
+            ca[Counter::OverlapNs.idx()] = 0;
+            cb[Counter::OverlapNs.idx()] = 0;
+            assert_eq!(ca, cb, "{label} rank {rank} step {} counters", sa.step);
+        }
+    }
+}
+
+#[test]
+fn vp_stores_bitwise_match_aos_with_counters_across_shapes() {
+    // Benchmark-shaped drift, leftward leavers in the first bins, row
+    // crossers through VP y-edges, and events on migrating VPs — over
+    // d × ranks × rebin. Both kernels run the same exchange mode, so the
+    // message counters must agree too.
+    for (shape, setup) in common::scenarios() {
+        for d in [1usize, 2, 4, 8] {
+            for ranks in [1usize, 2, 3, 4] {
+                let cfg = ParConfig::new(setup.clone(), common::STEPS);
+                let aos = run_traced(
+                    &cfg.clone().with_kernel(RankKernel::aos()),
+                    ranks,
+                    d,
+                    Balancer::paper_default(),
+                );
+                for rebin in [1u32, 3, 16] {
+                    let kernel = RankKernel::default().with_rebin_interval(rebin);
+                    let got = run_traced(
+                        &cfg.clone().with_kernel(kernel),
+                        ranks,
+                        d,
+                        Balancer::paper_default(),
+                    );
+                    let label = format!("{shape}, d={d}, {ranks} ranks, rebin {rebin}");
+                    assert_same_run(&label, &aos, &got);
+                }
+            }
+        }
     }
 }

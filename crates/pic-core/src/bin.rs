@@ -315,6 +315,17 @@ impl BinnedStore {
         self.owner_slots = 0;
     }
 
+    /// [`Self::rebin`] through a caller-owned gather buffer: stores that
+    /// rebin one after another (the AMPI runtime's per-VP stores on one
+    /// core) share a single double buffer instead of one each. The store's
+    /// own buffer is dropped; `spare` comes back holding the store's
+    /// previous particle arrays as the next gather target.
+    pub fn rebin_with(&mut self, grid: &Grid, spare: &mut ParticleBatch) {
+        self.scratch = std::mem::take(spare);
+        self.rebin(grid);
+        *spare = std::mem::take(&mut self.scratch);
+    }
+
     /// Recompute the per-slot owner spans: a contiguous, bin-aligned
     /// partition of `0..n` whose boundaries sit at the first bin boundary
     /// at or past each ideal `s·n/slots` cut, so slots carry near-equal
@@ -1002,6 +1013,33 @@ mod tests {
             let span = &b.id[store.offsets[c]..store.offsets[c + 1]];
             assert!(span.windows(2).all(|w| w[0] < w[1]), "bin {c} unstable");
         }
+    }
+
+    #[test]
+    fn rebin_with_shared_buffer_matches_rebin_and_keeps_no_scratch() {
+        let (grid, ps) = population(400, Distribution::Geometric { r: 0.9 });
+        let consts = SimConstants::CANONICAL;
+        let mut own = BinnedStore::new(&ps, &grid, 3);
+        let mut a = BinnedStore::new(&ps, &grid, 3);
+        let mut b = BinnedStore::new(&ps[..200], &grid, 3);
+        let mut spare = ParticleBatch::new();
+        for _ in 0..12 {
+            own.sweep_local(&grid, &consts, None);
+            a.sweep_local(&grid, &consts, None);
+            b.sweep_local(&grid, &consts, None);
+            if own.rebin_due() {
+                own.rebin(&grid);
+                a.rebin_with(&grid, &mut spare);
+                b.rebin_with(&grid, &mut spare);
+                // The stores keep no gather buffer of their own.
+                assert_eq!(a.scratch.x.capacity(), 0);
+                assert_eq!(b.scratch.x.capacity(), 0);
+            }
+        }
+        assert_eq!(own.to_particles(), a.to_particles());
+        assert_eq!(a.batch().x, own.batch().x, "same bin order");
+        assert_eq!(a.offsets, own.offsets);
+        assert_eq!(b.len(), 200);
     }
 
     #[test]

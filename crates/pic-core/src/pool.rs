@@ -39,7 +39,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 
 /// Default sweep chunk size: big enough that the claim `fetch_add` is
 /// amortized to noise, small enough that a skewed tail still spreads over
@@ -247,9 +247,8 @@ impl Pool {
             return;
         }
 
-        let _token = self.submit.lock().unwrap();
-        // Publish. The lifetime erasure is sound because this function
-        // drains every worker out of the job before returning.
+        // Publish. The lifetime erasure is sound because `dispatch` drains
+        // every worker out of the job before returning.
         let job = JobPtr {
             body: unsafe {
                 std::mem::transmute::<
@@ -262,29 +261,8 @@ impl Pool {
             max_workers: cap,
             kind: JobKind::Chunked,
         };
-        {
-            let mut st = self.shared.state.lock().unwrap();
-            self.shared.cursor.store(0, Ordering::SeqCst);
-            self.shared.panicked.store(false, Ordering::SeqCst);
-            st.epoch += 1;
-            st.joined = 0;
-            st.job = Some(job);
-        }
-        self.shared.work_cv.notify_all();
-
         // Participate from the submitting thread.
-        claim_chunks(&self.shared, body, len, chunk);
-
-        // Drain: unpublish so no new worker joins, then wait for the ones
-        // already inside to leave. After this, `body` is unreferenced.
-        {
-            let mut st = self.shared.state.lock().unwrap();
-            st.job = None;
-            while st.running > 0 {
-                st = self.shared.done_cv.wait(st).unwrap();
-            }
-        }
-        if self.shared.panicked.load(Ordering::SeqCst) {
+        if self.dispatch(job, || claim_chunks(&self.shared, body, len, chunk)) {
             panic!("a sweep chunk panicked on a pool worker");
         }
     }
@@ -318,7 +296,6 @@ impl Pool {
         let bridge = move |s: usize, _e: usize| body(s);
         let bridge: &(dyn Fn(usize, usize) + Sync) = &bridge;
 
-        let _token = self.submit.lock().unwrap();
         let job = JobPtr {
             body: unsafe {
                 std::mem::transmute::<
@@ -331,8 +308,23 @@ impl Pool {
             max_workers: slots - 1,
             kind: JobKind::Owned,
         };
+        // The submitter owns slot 0.
+        if self.dispatch(job, || body(0)) {
+            panic!("an owned sweep slot panicked on a pool worker");
+        }
+    }
+
+    /// Publish `job`, run the submitter's share `participate`, and drain
+    /// every worker out of the job. Returns whether any participant
+    /// panicked. The caller re-raises only after this returns, when the
+    /// job is unpublished (no worker can reach the borrowed body any
+    /// more) and the submit token is released, so a panicking sweep never
+    /// poisons the pool for later ones.
+    fn dispatch(&self, job: JobPtr, participate: impl FnOnce()) -> bool {
+        let _token = self.submit.lock().unwrap_or_else(PoisonError::into_inner);
         {
             let mut st = self.shared.state.lock().unwrap();
+            self.shared.cursor.store(0, Ordering::SeqCst);
             self.shared.panicked.store(false, Ordering::SeqCst);
             st.epoch += 1;
             st.joined = 0;
@@ -340,26 +332,32 @@ impl Pool {
         }
         self.shared.work_cv.notify_all();
 
-        // The submitter owns slot 0.
-        if catch_unwind(AssertUnwindSafe(|| body(0))).is_err() {
+        if catch_unwind(AssertUnwindSafe(participate)).is_err() {
             self.shared.panicked.store(true, Ordering::SeqCst);
         }
 
-        // Drain. Every eligible worker *must* run its slot (nobody else
-        // will), so wait for all of them to have joined and left before
-        // unpublishing — the reverse order of the chunked drain, safe
-        // because owned eligibility is by slot and each worker joins an
-        // epoch at most once.
-        {
-            let mut st = self.shared.state.lock().unwrap();
-            while st.joined < slots - 1 || st.running > 0 {
-                st = self.shared.done_cv.wait(st).unwrap();
+        let mut st = self.shared.state.lock().unwrap();
+        match job.kind {
+            // Unpublish so no new worker joins, then wait for the ones
+            // already inside to leave.
+            JobKind::Chunked => {
+                st.job = None;
+                while st.running > 0 {
+                    st = self.shared.done_cv.wait(st).unwrap();
+                }
             }
-            st.job = None;
+            // Every eligible worker *must* run its slot (nobody else
+            // will), so wait for all of them to have joined and left
+            // before unpublishing — safe because owned eligibility is by
+            // slot and each worker joins an epoch at most once.
+            JobKind::Owned => {
+                while st.joined < job.len - 1 || st.running > 0 {
+                    st = self.shared.done_cv.wait(st).unwrap();
+                }
+                st.job = None;
+            }
         }
-        if self.shared.panicked.load(Ordering::SeqCst) {
-            panic!("an owned sweep slot panicked on a pool worker");
-        }
+        self.shared.panicked.load(Ordering::SeqCst)
     }
 }
 

@@ -20,6 +20,12 @@ echo "==> PIC_NO_SIMD=1 cargo test -q (distributed rank suites, then workspace)"
 PIC_NO_SIMD=1 cargo test -q -p pic-par -p pic-ampi
 PIC_NO_SIMD=1 cargo test -q
 
+echo "==> cargo test --workspace -q (every crate, SIMD on and forced off)"
+# The Tier-1 command above covers the root package only; the crates'
+# own suites (pool, SIMD bit-identity, proptests, comm, trace) run here.
+cargo test --workspace -q
+PIC_NO_SIMD=1 cargo test --workspace -q
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 
@@ -67,6 +73,28 @@ rm -f "$trace_file"
 PIC_NO_SIMD=1 ./target/release/pic --balancer adaptive --ranks 4 --grid 32 \
     --particles 2000 --steps 60 --m 1 --dist geometric:0.9 --lb-interval 5 \
     --quiet | grep -qx PASS
+
+echo "==> traced AMPI smoke run (VP-local stores, --trace + trace_check)"
+# 4 thread-ranks at d = 4 with row crossers (m = 1) and LB rounds that
+# migrate whole VPs: verification must PASS, the header must name the
+# kernel, the stream must carry the 'v' reassignment records and
+# validate — vector and forced-scalar.
+ampi_trace_smoke() {
+    local simd="$1"
+    shift
+    local trace_file out
+    trace_file="$(mktemp /tmp/pic-trace-ampi.XXXXXX.ndjson)"
+    out="$("$@" ./target/release/pic --impl ampi --ranks 4 --d 4 --grid 32 \
+        --particles 2000 --steps 40 --m 1 --dist geometric:0.9 \
+        --lb-interval 5 --trace "$trace_file" --trace-every 2)"
+    echo "$out" | grep -q "verification          : PASS"
+    head -1 "$trace_file" | grep -q "\"simd\":\"$simd\""
+    grep -q '"type":"cuts"' "$trace_file"
+    cargo run --release -q -p pic-bench --bin trace_check -- "$trace_file"
+    rm -f "$trace_file"
+}
+ampi_trace_smoke '[a-z0-9]*/exact' env
+ampi_trace_smoke 'scalar/exact' env PIC_NO_SIMD=1
 
 echo "==> overlap-mode equivalence pass (overlapped sparse vs dense oracle)"
 # The overlapped sparse exchange (the default) must be bit-identical to
