@@ -34,7 +34,7 @@ use pic_core::init::{build_injection, SimulationSetup};
 use pic_core::motion::advance_all;
 use pic_core::particle::Particle;
 use pic_core::soa::ParticleBatch;
-use pic_core::verify::{verify_all, VerifyReport, DEFAULT_TOLERANCE};
+use pic_core::verify::{VerifyReport, DEFAULT_TOLERANCE};
 use pic_par::exchange::{route_particles_with, ExchangeBuffers};
 use pic_par::runner::{
     merge_failing_ids, snapshot_loads, trace_interval, ExchangeMode, ParConfig, ParOutcome,
@@ -140,16 +140,19 @@ fn run_ampi_lb(
         tracer.end_step(global_count);
     }
 
-    // Distributed verification, over the one materialized copy of the
-    // VP stores.
+    // Distributed verification in place over the VP stores, then the one
+    // materialization of the outcome's particles.
     tracer.phase_start(Phase::Verify);
-    let particles = st.to_particles();
-    let local = verify_all(&cfg.setup.grid, &particles, cfg.steps, 0, DEFAULT_TOLERANCE);
+    let mut local = VerifyReport::new(0, DEFAULT_TOLERANCE);
+    for store in st.stores.iter().flatten() {
+        store.check_into(&mut local, &cfg.setup.grid, cfg.steps);
+    }
     let checked = allreduce_u64(comm, local.checked, ReduceOp::Sum);
     let failures = allreduce_u64(comm, local.position_failures, ReduceOp::Sum);
     let max_error = allreduce_f64(comm, local.max_error, ReduceOp::Max);
     let id_sum = allreduce_u128(comm, local.id_sum, ReduceOp::Sum);
     let failing_ids = merge_failing_ids(comm, &local.failing_ids);
+    let particles = st.to_particles();
     tracer.phase_end(Phase::Verify);
     let local_count = particles.len() as u64;
     let max_count = allreduce_u64(comm, local_count, ReduceOp::Max);
@@ -318,14 +321,13 @@ impl AmpiRankState {
             .collect()
     }
 
-    /// This core's particles in canonical (ascending-id) order. Allocates;
-    /// verification path.
+    /// This core's particles, VP store by VP store in storage order.
+    /// Allocates; outcome path.
     fn to_particles(&self) -> Vec<Particle> {
         let mut out = Vec::with_capacity(self.local_count());
         for store in self.stores.iter().flatten() {
             append_particles(store, &mut out);
         }
-        out.sort_unstable_by_key(|p| p.id);
         out
     }
 

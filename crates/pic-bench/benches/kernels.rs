@@ -12,7 +12,8 @@ use pic_core::geometry::Grid;
 use pic_core::init::InitConfig;
 use pic_core::motion::advance_all;
 use pic_core::particle::Particle;
-use pic_core::verify::{verify_all, DEFAULT_TOLERANCE};
+use pic_core::soa::ParticleBatch;
+use pic_core::verify::{verify_all, VerifyReport, DEFAULT_TOLERANCE};
 use pic_par::diffusion::diffuse_xcuts;
 
 fn population(n: u64) -> (Grid, Vec<Particle>) {
@@ -61,6 +62,24 @@ fn bench_verify(c: &mut Criterion) {
     let (grid, particles) = population(50_000);
     let mut group = c.benchmark_group("verify");
     group.throughput(Throughput::Elements(50_000));
+    // `check_batch` is the kernel the runners call on their SoA stores;
+    // `check_particles` serves AoS stores; `verify_all` is the per-particle
+    // reference they are tested against.
+    let batch = ParticleBatch::from_particles(&particles);
+    group.bench_function("check_batch/50k", |b| {
+        b.iter(|| {
+            let mut report = VerifyReport::new(0, DEFAULT_TOLERANCE);
+            report.check_batch(&grid, black_box(&batch), 0);
+            report
+        })
+    });
+    group.bench_function("check_particles/50k", |b| {
+        b.iter(|| {
+            let mut report = VerifyReport::new(0, DEFAULT_TOLERANCE);
+            report.check_particles(&grid, black_box(&particles), 0);
+            report
+        })
+    });
     group.bench_function("verify_all/50k", |b| {
         b.iter(|| verify_all(&grid, black_box(&particles), 0, 0, DEFAULT_TOLERANCE))
     });

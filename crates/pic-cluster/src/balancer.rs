@@ -963,8 +963,8 @@ mod tests {
     #[test]
     fn diffusion_lb_matches_pure_functions() {
         let mut hist = vec![0u64; 16];
-        for c in 0..16 {
-            hist[c] = (16 - c) as u64 * 10;
+        for (c, h) in hist.iter_mut().enumerate() {
+            *h = (16 - c) as u64 * 10;
         }
         let xcuts = vec![0, 4, 8, 12, 16];
         let ycuts = vec![0, 16];

@@ -9,7 +9,9 @@
 //! double buffer, so the amortized cost is O(n / R) per step and the
 //! steady state allocates nothing (scratch capacity is retained between
 //! rebins; when the population is column-homogeneous the permutation is
-//! the identity and the gather is skipped entirely).
+//! the identity and the gather is skipped entirely, and when it is a few
+//! contiguous runs — a drifting store that wrapped around — the gather is
+//! one block move per run).
 //!
 //! ## The parity invariant (why `q_left` can be hoisted)
 //!
@@ -64,6 +66,12 @@ use std::collections::HashSet;
 /// [`Simulation::with_rebin_interval`]: crate::engine::Simulation::with_rebin_interval
 pub const DEFAULT_REBIN: u32 = 16;
 
+/// The rebin gathers by block moves only while the permutation's
+/// contiguous runs average at least this many particles (at most
+/// `n / MIN_MEAN_RUN` runs); a more scattered permutation takes the
+/// per-element scatter.
+const MIN_MEAN_RUN: usize = 32;
+
 /// Which force kernel the binned sweep runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelTier {
@@ -112,6 +120,12 @@ pub struct BinnedStore {
     perm: Vec<usize>,
     /// Counting-sort write cursors (reused across rebins).
     cursor: Vec<usize>,
+    /// Contiguous runs of the last permutation as `(src, dst)` starts: run
+    /// `r` moves sources `runs[r].0..runs[r + 1].0` (the last one up to
+    /// `n`) to consecutive slots from `runs[r].1`. Meaningful only when the
+    /// rebin did not exceed the run bound ([`MIN_MEAN_RUN`]); capacity is
+    /// retained across rebins.
+    runs: Vec<(usize, usize)>,
     /// Sweeps executed since the last rebin.
     age: u32,
     /// Set by any structural edit (push/remove/mutate); forces a rebin
@@ -171,6 +185,7 @@ impl BinnedStore {
             ncols,
             perm: Vec::new(),
             cursor: vec![0; ncols],
+            runs: Vec::new(),
             age: 0,
             dirty: false,
             rebin_interval: rebin_interval.max(1),
@@ -270,9 +285,31 @@ impl BinnedStore {
 
     /// Rebuild the counting-sort permutation from current positions.
     /// Stable (equal columns keep their relative order), skips the gather
-    /// when the permutation is the identity, and reuses all scratch
-    /// storage — after warm-up this allocates nothing.
+    /// when the permutation is the identity, moves whole blocks when it is
+    /// a few contiguous runs (a drifting store wraps around), and reuses
+    /// all scratch storage — after warm-up this allocates nothing.
     pub fn rebin(&mut self, grid: &Grid) {
+        match self.sort_permutation(grid) {
+            Gather::Identity => {}
+            path => {
+                let runs = (path == Gather::Blocks).then_some(&self.runs[..]);
+                gather(&self.batch, &mut self.scratch, &self.perm, runs);
+                std::mem::swap(&mut self.batch, &mut self.scratch);
+            }
+        }
+        self.age = 0;
+        self.dirty = false;
+        self.rebins += 1;
+        // Bin boundaries moved: the persistent bin→worker assignment is
+        // recomputed lazily at the next bound sweep. Rebin boundaries are
+        // the *only* points where ownership is rebalanced.
+        self.owner_slots = 0;
+    }
+
+    /// The counting sort: fill `offsets`, `perm` (`perm[i]` = destination
+    /// of source `i`) and, up to the run bound, `runs`; report which
+    /// gather the permutation needs.
+    fn sort_permutation(&mut self, grid: &Grid) -> Gather {
         let n = self.batch.len();
         let ncols = self.ncols;
         self.offsets.clear();
@@ -294,25 +331,34 @@ impl BinnedStore {
         self.cursor.extend_from_slice(&self.offsets[..ncols]);
         self.perm.clear();
         self.perm.resize(n, 0);
-        let mut identity = true;
+        // A bijection of 0..n with one run is the identity, so the bound
+        // never drops below one run.
+        let max_runs = (n / MIN_MEAN_RUN).max(1);
+        self.runs.clear();
+        self.runs.reserve(max_runs);
+        let mut scattered = false;
+        let mut next = usize::MAX;
         for (i, &x) in self.batch.x.iter().enumerate() {
             let c = grid.cell_of(x) - self.col_lo;
             let dst = self.cursor[c];
             self.cursor[c] += 1;
             self.perm[i] = dst;
-            identity &= dst == i;
+            if dst != next {
+                if self.runs.len() < max_runs {
+                    self.runs.push((i, dst));
+                } else {
+                    scattered = true;
+                }
+            }
+            next = dst + 1;
         }
-        if !identity {
-            gather(&self.batch, &mut self.scratch, &self.perm);
-            std::mem::swap(&mut self.batch, &mut self.scratch);
+        if scattered {
+            Gather::Scatter
+        } else if self.runs.len() <= 1 {
+            Gather::Identity
+        } else {
+            Gather::Blocks
         }
-        self.age = 0;
-        self.dirty = false;
-        self.rebins += 1;
-        // Bin boundaries moved: the persistent bin→worker assignment is
-        // recomputed lazily at the next bound sweep. Rebin boundaries are
-        // the *only* points where ownership is rebalanced.
-        self.owner_slots = 0;
     }
 
     /// [`Self::rebin`] through a caller-owned gather buffer: stores that
@@ -871,16 +917,45 @@ impl BinnedStore {
     }
 }
 
-/// Gather `src` into `dst` under `perm` (`dst[perm[i]] = src[i]`),
-/// resizing `dst` only when capacity must grow.
-fn gather(src: &ParticleBatch, dst: &mut ParticleBatch, perm: &[usize]) {
+/// How a rebin moves the particles into bin order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Gather {
+    /// Already in bin order: nothing moves.
+    Identity,
+    /// A few contiguous runs: one block move per run.
+    Blocks,
+    /// More runs than the bound: per-element scatter.
+    Scatter,
+}
+
+/// Gather `src` into `dst` under `perm` (`dst[perm[i]] = src[i]`): by one
+/// `copy_from_slice` per run per field when `runs` lists the permutation's
+/// contiguous runs (see [`BinnedStore`]'s `runs`), else by per-element
+/// scatter. Every slot is written, so `dst` is only padded where it must
+/// grow, never zero-filled first.
+fn gather(
+    src: &ParticleBatch,
+    dst: &mut ParticleBatch,
+    perm: &[usize],
+    runs: Option<&[(usize, usize)]>,
+) {
     let n = src.len();
     macro_rules! gather_field {
         ($f:ident, $zero:expr) => {
-            dst.$f.clear();
+            dst.$f.truncate(n);
             dst.$f.resize(n, $zero);
-            for (i, &d) in perm.iter().enumerate() {
-                dst.$f[d] = src.$f[i];
+            match runs {
+                Some(runs) => {
+                    for (r, &(s, d)) in runs.iter().enumerate() {
+                        let end = runs.get(r + 1).map_or(n, |&(next, _)| next);
+                        dst.$f[d..d + (end - s)].copy_from_slice(&src.$f[s..end]);
+                    }
+                }
+                None => {
+                    for (i, &d) in perm.iter().enumerate() {
+                        dst.$f[d] = src.$f[i];
+                    }
+                }
             }
         };
     }
@@ -1531,5 +1606,193 @@ mod tests {
         let mut h = Vec::new();
         store.column_histogram_into(&grid, &mut h);
         assert!(h.iter().all(|&c| c == 0));
+    }
+
+    /// Every field of every particle as raw bits, in storage order.
+    fn batch_bits(b: &ParticleBatch) -> Vec<[u64; 11]> {
+        (0..b.len())
+            .map(|i| {
+                let p = b.get(i);
+                [
+                    p.id,
+                    p.x.to_bits(),
+                    p.y.to_bits(),
+                    p.vx.to_bits(),
+                    p.vy.to_bits(),
+                    p.q.to_bits(),
+                    p.x0.to_bits(),
+                    p.y0.to_bits(),
+                    p.k as u64,
+                    p.m as u32 as u64,
+                    p.born_at as u64,
+                ]
+            })
+            .collect()
+    }
+
+    /// Every contiguous run of `perm`, unbounded.
+    fn all_runs(perm: &[usize]) -> Vec<(usize, usize)> {
+        let mut runs: Vec<(usize, usize)> = Vec::new();
+        for (i, &d) in perm.iter().enumerate() {
+            if i == 0 || d != perm[i - 1] + 1 {
+                runs.push((i, d));
+            }
+        }
+        runs
+    }
+
+    /// Destinations a rebin may gather into: empty, shorter than the
+    /// store, and longer than it, all holding stale values.
+    fn stale_destinations(n: usize) -> Vec<ParticleBatch> {
+        let junk = |len: usize| {
+            let mut b = ParticleBatch::new();
+            for i in 0..len {
+                b.push(Particle {
+                    id: u64::MAX - i as u64,
+                    x: f64::NAN,
+                    y: -1.0,
+                    vx: 7.0,
+                    vy: 7.0,
+                    q: 7.0,
+                    x0: 7.0,
+                    y0: 7.0,
+                    k: 7,
+                    m: -7,
+                    born_at: 7,
+                });
+            }
+            b
+        };
+        vec![junk(0), junk(n / 2), junk(n + 10)]
+    }
+
+    /// Sort `store`'s permutation, then gather it by scatter and by block
+    /// moves over every run into each stale destination: both must write
+    /// `dst[perm[i]] = src[i]`, bit for bit. Returns the gather the rebin
+    /// chose.
+    fn gathers_agree(store: &mut BinnedStore, grid: &Grid) -> Gather {
+        let path = store.sort_permutation(grid);
+        let n = store.len();
+        let runs = all_runs(&store.perm);
+        if path != Gather::Scatter {
+            assert_eq!(store.runs, runs, "recorded runs");
+        }
+        let src = batch_bits(&store.batch);
+        let mut want = vec![[0u64; 11]; n];
+        for (i, &d) in store.perm.iter().enumerate() {
+            want[d] = src[i];
+        }
+        for stale in stale_destinations(n) {
+            let len = stale.len();
+            let mut scattered = stale.clone();
+            gather(&store.batch, &mut scattered, &store.perm, None);
+            assert_eq!(batch_bits(&scattered), want, "scatter over {len} stale");
+            let mut blocked = stale;
+            gather(&store.batch, &mut blocked, &store.perm, Some(&runs));
+            assert_eq!(batch_bits(&blocked), want, "blocks over {len} stale");
+        }
+        path
+    }
+
+    /// A distinct-valued particle at the center of cell `(col, row)`.
+    fn particle_in(grid: &Grid, id: u64, col: usize, row: usize) -> Particle {
+        let (x, y) = grid.cell_center(col, row);
+        Particle {
+            id,
+            x,
+            y,
+            vx: id as f64 * 0.5,
+            vy: -(id as f64),
+            q: 1.0 + id as f64,
+            x0: x,
+            y0: y,
+            k: id as u32,
+            m: -(id as i32),
+            born_at: id as u32 % 5,
+        }
+    }
+
+    #[test]
+    fn drifting_store_wraps_into_two_block_moves() {
+        let grid = Grid::new(32).unwrap();
+        let ps = InitConfig::new(grid, 2_000, Distribution::Uniform)
+            .build()
+            .unwrap()
+            .particles;
+        let consts = SimConstants::CANONICAL;
+        let mut store = BinnedStore::new(&ps, &grid, 64);
+        for _ in 0..5 {
+            store.sweep_local(&grid, &consts, None);
+        }
+        // The five right-most bins wrapped to the front: two runs.
+        assert_eq!(gathers_agree(&mut store, &grid), Gather::Blocks);
+        assert_eq!(store.runs.len(), 2);
+    }
+
+    #[test]
+    fn drained_store_with_tail_arrivals_gathers_by_blocks() {
+        let grid = Grid::new(32).unwrap();
+        let mut id = 0u64;
+        let mut next = |col: usize, row: usize| {
+            id += 1;
+            particle_in(&grid, id, col, row)
+        };
+        let survivors: Vec<Particle> = (0..400).map(|i| next(12 + i % 8, i % 32)).collect();
+        let mut store = BinnedStore::new_subdomain(&survivors, &grid, 64, 8, 24);
+        let drained = store.drain_leavers_into(&grid, |c, r| (c + r) % 7 != 0, |_| {});
+        assert!(drained > 0);
+        // Arrivals from both neighbours, interleaved as their messages
+        // land: column-sorted left (columns 8–11) and right (columns
+        // 20–23) blocks.
+        for cols in [8..10, 20..22, 10..12, 22..24] {
+            for i in 0..60 {
+                let p = next(cols.start + i * cols.len() / 60, i % 32);
+                store.push_tail(p);
+            }
+        }
+        assert_eq!(gathers_agree(&mut store, &grid), Gather::Blocks);
+        assert_eq!(store.runs.len(), 5);
+    }
+
+    #[test]
+    fn scrambled_store_falls_back_to_scatter() {
+        let grid = Grid::new(32).unwrap();
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let ps: Vec<Particle> = (1..=2_000u64)
+            .map(|id| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                particle_in(
+                    &grid,
+                    id,
+                    (state >> 59) as usize,
+                    (state >> 40) as usize % 32,
+                )
+            })
+            .collect();
+        let mut store = BinnedStore::new(&ps, &grid, 64);
+        // Re-scramble the binned order so the next sort is random again.
+        let mut shuffled = store.batch.clone();
+        for i in 0..shuffled.len() {
+            let j = (i * 7919) % shuffled.len();
+            let (a, b) = (shuffled.get(i), shuffled.get(j));
+            shuffled.set(i, b);
+            shuffled.set(j, a);
+        }
+        store.batch = shuffled;
+        assert_eq!(gathers_agree(&mut store, &grid), Gather::Scatter);
+        assert!(all_runs(&store.perm).len() > store.len() / MIN_MEAN_RUN);
+    }
+
+    #[test]
+    fn rebin_of_sorted_store_moves_nothing() {
+        let (grid, ps) = population(500, Distribution::Geometric { r: 0.9 });
+        let mut store = BinnedStore::new(&ps, &grid, 1);
+        let before = batch_bits(store.batch());
+        assert_eq!(store.sort_permutation(&grid), Gather::Identity);
+        store.rebin(&grid);
+        assert_eq!(batch_bits(store.batch()), before);
+        assert_eq!(store.scratch.len(), 0, "no gather ran");
     }
 }

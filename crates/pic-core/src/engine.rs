@@ -32,7 +32,7 @@ use crate::particle::Particle;
 use crate::pool;
 use crate::simd::SimdBackend;
 use crate::soa::ParticleBatch;
-use crate::verify::{verify_all, VerifyReport, DEFAULT_TOLERANCE};
+use crate::verify::{VerifyReport, DEFAULT_TOLERANCE};
 
 /// Execution mode for the per-step particle sweep. Also selects the
 /// particle storage layout (see the module docs).
@@ -163,6 +163,29 @@ impl ParticleStore {
             ParticleStore::Soa(b) => b.to_particles(),
             ParticleStore::Binned(b) => b.to_particles(),
         }
+    }
+
+    /// Fold the population into `report` through the in-place kernel
+    /// (no copy, no sort).
+    fn check_into(&self, report: &mut VerifyReport, grid: &Grid, final_step: u32) {
+        match self {
+            ParticleStore::Aos(v) => report.check_particles(grid, v, final_step),
+            ParticleStore::Soa(b) => report.check_batch(grid, b, final_step),
+            ParticleStore::Binned(b) => report.check_batch(grid, b.batch(), final_step),
+        }
+    }
+
+    /// Largest per-step displacement in cells, `max(2k+1, |m|)`, over the
+    /// population (1 when empty) — the fast tier's analytic-bound input.
+    fn max_stride(&self) -> u64 {
+        let stride = |k: u32, m: i32| (2 * k as u64 + 1).max(m.unsigned_abs() as u64);
+        let columns = |b: &ParticleBatch| b.k.iter().zip(&b.m).map(|(&k, &m)| stride(k, m)).max();
+        match self {
+            ParticleStore::Aos(v) => v.iter().map(|p| stride(p.k, p.m)).max(),
+            ParticleStore::Soa(b) => columns(b),
+            ParticleStore::Binned(b) => columns(b.batch()),
+        }
+        .unwrap_or(1)
     }
 
     fn extend(&mut self, particles: Vec<Particle>) {
@@ -464,8 +487,9 @@ impl Simulation {
     }
 
     pub fn verify_with_tolerance(&self, tol: f64) -> VerifyReport {
-        let particles = self.store.to_particles();
-        verify_all(&self.grid, &particles, self.step, self.expected_id_sum, tol)
+        let mut report = VerifyReport::new(self.expected_id_sum, tol);
+        self.store.check_into(&mut report, &self.grid, self.step);
+        report
     }
 
     /// Verify against the fast-tier analytic drift bound
@@ -475,14 +499,8 @@ impl Simulation {
     /// clamped to `[1e-10, DEFAULT_TOLERANCE]`. Usable in any mode (the
     /// exact tiers pass it trivially — their error is at the 1e-13 floor).
     pub fn verify_analytic(&self) -> VerifyReport {
-        let particles = self.store.to_particles();
-        let max_stride = particles
-            .iter()
-            .map(|p| (2 * p.k as u64 + 1).max(p.m.unsigned_abs() as u64))
-            .max()
-            .unwrap_or(1);
-        let tol = crate::verify::analytic_tolerance(self.step as u64, max_stride);
-        verify_all(&self.grid, &particles, self.step, self.expected_id_sum, tol)
+        let tol = crate::verify::analytic_tolerance(self.step as u64, self.store.max_stride());
+        self.verify_with_tolerance(tol)
     }
 
     /// Histogram of particle counts per cell column — the quantity the

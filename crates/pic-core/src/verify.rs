@@ -13,10 +13,16 @@
 //! force miscalculation will be reflected rigorously in the final result".
 //! A second, independent check — the id checksum `Σ id = n(n+1)/2` — catches
 //! particles lost or duplicated in transit between processors.
+//!
+//! Every runner verifies through one kernel, [`VerifyReport::check_batch`]
+//! (SoA columns, read in place in whatever order the store keeps them)
+//! and its AoS twin [`VerifyReport::check_particles`]. [`verify_all`] is
+//! the per-particle reference the kernel is tested against.
 
-use crate::charge::SimConstants;
+use crate::charge::{direction_from_charge, SimConstants};
 use crate::geometry::Grid;
 use crate::particle::Particle;
+use crate::soa::ParticleBatch;
 
 /// Default absolute position tolerance, matching the PRK reference codes.
 pub const DEFAULT_TOLERANCE: f64 = 1e-5;
@@ -137,6 +143,57 @@ pub fn verify_particle(grid: &Grid, p: &Particle, steps: u64, tol: f64) -> Parti
     }
 }
 
+/// `(c0 + per_step·steps) mod n` for a cell index `c0` in `[0, n)`, from
+/// reduced operands: the displacement is reduced mod `n` in i64 (i128 only
+/// when the product overflows), then one conditional subtract wraps the
+/// sum. Equal to [`expected_position`]'s i128 formula for every input.
+#[inline]
+fn wrapped_cell(c0: i64, per_step: i64, steps: u64, n: i64) -> i64 {
+    let d = match i64::try_from(steps)
+        .ok()
+        .and_then(|s| per_step.checked_mul(s))
+    {
+        Some(d) => d.rem_euclid(n),
+        None => (per_step as i128 * steps as i128).rem_euclid(n as i128) as i64,
+    };
+    let c = c0 + d;
+    if c >= n {
+        c - n
+    } else {
+        c
+    }
+}
+
+/// The verification inputs of one particle, read from either layout.
+struct Probe {
+    id: u64,
+    x: f64,
+    y: f64,
+    q: f64,
+    x0: f64,
+    y0: f64,
+    k: u32,
+    m: i32,
+    born_at: u32,
+}
+
+/// max(|Δx|, |Δy|) between a particle's position and eqs. 5–6 after
+/// `steps` steps — the same floating-point operations as
+/// [`verify_particle`], so the error is bit-identical.
+#[inline]
+fn position_error(grid: &Grid, n: i64, p: &Probe, steps: u64) -> f64 {
+    let col0 = grid.cell_of(p.x0);
+    let row0 = grid.cell_of(p.y0);
+    let per_x = direction_from_charge(col0, p.q) as i64 * (2 * p.k as i64 + 1);
+    let col = wrapped_cell(col0 as i64, per_x, steps, n);
+    let row = wrapped_cell(row0 as i64, p.m as i64, steps, n);
+    let ex = col as f64 + (p.x0 - p.x0.floor());
+    let ey = row as f64 + (p.y0 - p.y0.floor());
+    let dx = grid.periodic_delta(p.x, ex).abs();
+    let dy = grid.periodic_delta(p.y, ey).abs();
+    dx.max(dy)
+}
+
 /// Aggregate verification report.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VerifyReport {
@@ -146,7 +203,8 @@ pub struct VerifyReport {
     pub position_failures: u64,
     /// Largest observed deviation.
     pub max_error: f64,
-    /// Ids of the first few failing particles (diagnostics).
+    /// The [`MAX_FAILING_IDS`] smallest failing ids, ascending
+    /// (diagnostics).
     pub failing_ids: Vec<u64>,
     /// Sum of ids of surviving particles.
     pub id_sum: u128,
@@ -157,22 +215,112 @@ pub struct VerifyReport {
 }
 
 impl VerifyReport {
+    /// A report over no particles yet, to be filled by
+    /// [`VerifyReport::check_batch`] / [`VerifyReport::check_particles`].
+    pub fn new(expected_id_sum: u128, tolerance: f64) -> VerifyReport {
+        VerifyReport {
+            checked: 0,
+            position_failures: 0,
+            max_error: 0.0,
+            failing_ids: Vec::new(),
+            id_sum: 0,
+            expected_id_sum,
+            tolerance,
+        }
+    }
+
+    /// Verify an SoA batch in place at final step `final_step` and fold it
+    /// into this report. Reads the `x, y, q, x0, y0, k, m, born_at, id`
+    /// columns in storage order; the report does not depend on that
+    /// order.
+    pub fn check_batch(&mut self, grid: &Grid, b: &ParticleBatch, final_step: u32) {
+        let n = b.len();
+        let (x, y, q, x0, y0) = (&b.x[..n], &b.y[..n], &b.q[..n], &b.x0[..n], &b.y0[..n]);
+        let (k, m, born_at, id) = (&b.k[..n], &b.m[..n], &b.born_at[..n], &b.id[..n]);
+        self.check(
+            grid,
+            final_step,
+            (0..n).map(|i| Probe {
+                id: id[i],
+                x: x[i],
+                y: y[i],
+                q: q[i],
+                x0: x0[i],
+                y0: y0[i],
+                k: k[i],
+                m: m[i],
+                born_at: born_at[i],
+            }),
+        );
+    }
+
+    /// [`VerifyReport::check_batch`] over an AoS slice, without copying it.
+    pub fn check_particles(&mut self, grid: &Grid, particles: &[Particle], final_step: u32) {
+        self.check(
+            grid,
+            final_step,
+            particles.iter().map(|p| Probe {
+                id: p.id,
+                x: p.x,
+                y: p.y,
+                q: p.q,
+                x0: p.x0,
+                y0: p.y0,
+                k: p.k,
+                m: p.m,
+                born_at: p.born_at,
+            }),
+        );
+    }
+
+    /// The one verification kernel: each particle has participated in
+    /// `final_step − born_at` steps.
+    #[inline(always)]
+    fn check(&mut self, grid: &Grid, final_step: u32, probes: impl Iterator<Item = Probe>) {
+        let n = grid.ncells() as i64;
+        for p in probes {
+            let steps = final_step.saturating_sub(p.born_at) as u64;
+            let error = position_error(grid, n, &p, steps);
+            self.checked += 1;
+            self.id_sum += p.id as u128;
+            self.max_error = self.max_error.max(error);
+            let ok = error <= self.tolerance;
+            if !ok {
+                self.position_failures += 1;
+                self.note_failing_id(p.id);
+            }
+        }
+    }
+
+    /// Keep `id` if it is among the [`MAX_FAILING_IDS`] smallest seen,
+    /// in ascending order.
+    fn note_failing_id(&mut self, id: u64) {
+        let ids = &mut self.failing_ids;
+        if ids.len() == MAX_FAILING_IDS {
+            if id >= ids[MAX_FAILING_IDS - 1] {
+                return;
+            }
+            ids.pop();
+        }
+        let at = ids.partition_point(|&f| f <= id);
+        ids.insert(at, id);
+    }
+
     /// True if both the trajectory check and the checksum pass.
     pub fn passed(&self) -> bool {
         self.position_failures == 0 && self.id_sum == self.expected_id_sum
     }
 
     /// Merge reports from disjoint particle subsets (e.g. per-rank
-    /// verification in the parallel implementations).
+    /// verification in the parallel implementations); `failing_ids` keeps
+    /// the smallest of both.
     pub fn merge(mut self, other: &VerifyReport) -> VerifyReport {
         self.checked += other.checked;
         self.position_failures += other.position_failures;
         self.max_error = self.max_error.max(other.max_error);
         self.id_sum += other.id_sum;
         for &id in &other.failing_ids {
-            if self.failing_ids.len() < MAX_FAILING_IDS {
-                self.failing_ids.push(id);
-            }
+            self.note_failing_id(id);
         }
         self
     }
@@ -181,6 +329,10 @@ impl VerifyReport {
 /// Verify a set of particles at final step `final_step`; each particle has
 /// participated in `final_step − born_at` steps. `expected_id_sum` comes
 /// from the engine's ledger (or `n(n+1)/2` when no events fired).
+///
+/// The per-particle reference ([`verify_particle`], i128 cell arithmetic):
+/// `failing_ids` are the first failures in slice order, so over an
+/// ascending-id slice the report equals the in-place kernel's.
 pub fn verify_all(
     grid: &Grid,
     particles: &[Particle],
@@ -188,15 +340,7 @@ pub fn verify_all(
     expected_id_sum: u128,
     tol: f64,
 ) -> VerifyReport {
-    let mut report = VerifyReport {
-        checked: 0,
-        position_failures: 0,
-        max_error: 0.0,
-        failing_ids: Vec::new(),
-        id_sum: 0,
-        expected_id_sum,
-        tolerance: tol,
-    };
+    let mut report = VerifyReport::new(expected_id_sum, tol);
     for p in particles {
         let steps = final_step.saturating_sub(p.born_at) as u64;
         let v = verify_particle(grid, p, steps, tol);

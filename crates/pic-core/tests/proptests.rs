@@ -150,7 +150,7 @@ proptest! {
         which in 0usize..3,
     ) {
         let grid = Grid::new(gridhalf * 2).unwrap();
-        prop_assume!(2 * k as u64 + 1 <= grid.ncells() as u64);
+        prop_assume!(2 * (k as u64) < grid.ncells() as u64);
         let dist = match which {
             0 => Distribution::Uniform,
             1 => Distribution::Geometric { r: 0.93 },
@@ -304,7 +304,7 @@ proptest! {
         use pic_core::checkpoint::CheckpointData;
         use pic_core::engine::SweepMode;
         let grid = Grid::new(32).unwrap();
-        prop_assume!(2 * k as u64 + 1 <= 32);
+        prop_assume!(2 * (k as u64) < 32);
         let setup = InitConfig::new(grid, n, Distribution::Geometric { r: 0.93 })
             .with_k(k)
             .with_m(m)
@@ -335,7 +335,7 @@ proptest! {
         use pic_core::charge::{particle_charge, sign_for_direction};
         use pic_core::motion::advance_particle;
         let grid = Grid::new(gridhalf * 2).unwrap();
-        prop_assume!(2 * k as u64 + 1 <= grid.ncells() as u64);
+        prop_assume!(2 * (k as u64) < grid.ncells() as u64);
         let consts = SimConstants::CANONICAL;
         let dir = if dirb { 1i8 } else { -1 };
         let (x, y) = grid.cell_center(col, row);

@@ -128,10 +128,7 @@ mod tests {
             v.sort_by_key(|p| p.id);
             v
         };
-        let outcomes = run_threads(1, |comm| {
-            let o = run_baseline(&comm, &c);
-            o
-        });
+        let outcomes = run_threads(1, |comm| run_baseline(&comm, &c));
         assert!(outcomes[0].verify.passed());
         assert_eq!(outcomes[0].total_count, 250);
         // Position agreement is implied by both verifying against the same

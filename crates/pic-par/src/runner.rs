@@ -22,7 +22,7 @@ use pic_core::init::{build_injection, SimulationSetup};
 use pic_core::motion::advance_with_acceleration;
 use pic_core::particle::Particle;
 use pic_core::simd::SimdBackend;
-use pic_core::verify::{verify_all, VerifyReport, DEFAULT_TOLERANCE, MAX_FAILING_IDS};
+use pic_core::verify::{VerifyReport, DEFAULT_TOLERANCE, MAX_FAILING_IDS};
 use pic_trace::{Counter, Phase, Tracer};
 
 /// Which particle container the rank hot loop advances through.
@@ -228,7 +228,8 @@ pub struct ParOutcome {
     /// convention the serial engine emits).
     pub kernel: String,
     /// This rank's final particles (for cross-implementation equivalence
-    /// checks; cheap at test scales, and callers can drop it).
+    /// checks; cheap at test scales, and callers can drop it). The order
+    /// is unspecified: sort by id to compare runs.
     pub local_particles: Vec<Particle>,
 }
 
@@ -279,11 +280,21 @@ impl RankStore {
         self.len() == 0
     }
 
-    /// Materialize the particles (allocates; verification path).
+    /// Materialize the particles in storage order (allocates; outcome
+    /// path).
     pub fn to_particles(&self) -> Vec<Particle> {
         match self {
             RankStore::Aos(v) => v.clone(),
-            RankStore::Binned(b) => b.to_particles(),
+            RankStore::Binned(b) => b.batch().to_particles(),
+        }
+    }
+
+    /// Fold this store's particles into `report` through the in-place
+    /// verification kernel (no copy, no sort).
+    pub fn check_into(&self, report: &mut VerifyReport, grid: &Grid, final_step: u32) {
+        match self {
+            RankStore::Aos(v) => report.check_particles(grid, v, final_step),
+            RankStore::Binned(b) => report.check_batch(grid, b.batch(), final_step),
         }
     }
 
@@ -426,7 +437,8 @@ impl RankState {
         self.store.len()
     }
 
-    /// This rank's particles, materialized. Allocates; verification path.
+    /// This rank's particles, materialized in storage order. Allocates;
+    /// outcome path.
     pub fn local_particles(&self) -> Vec<Particle> {
         self.store.to_particles()
     }
@@ -735,13 +747,9 @@ impl RankState {
     /// Distributed verification: local analytic check, global reduction of
     /// failures, checksum, and max error.
     pub fn verify(&self, comm: &Communicator) -> VerifyReport {
-        let local = verify_all(
-            &self.grid,
-            &self.local_particles(),
-            self.step,
-            0, // expected sum handled globally below
-            DEFAULT_TOLERANCE,
-        );
+        // The expected sum is the global ledger's, set below.
+        let mut local = VerifyReport::new(0, DEFAULT_TOLERANCE);
+        self.store.check_into(&mut local, &self.grid, self.step);
         let checked = allreduce_u64(comm, local.checked, ReduceOp::Sum);
         let failures = allreduce_u64(comm, local.position_failures, ReduceOp::Sum);
         let max_error = allreduce_f64(comm, local.max_error, ReduceOp::Max);
@@ -770,11 +778,13 @@ impl RankState {
         self.finish_traced(comm, &mut Tracer::disabled())
     }
 
-    /// [`RankState::finish`] with the verification collectives timed as
-    /// the `verify` phase.
+    /// [`RankState::finish`] with the verification collectives and the
+    /// one materialization of the outcome's particles timed as the
+    /// `verify` phase.
     pub fn finish_traced(&self, comm: &Communicator, tracer: &mut Tracer) -> ParOutcome {
         tracer.phase_start(Phase::Verify);
         let verify = self.verify(comm);
+        let local_particles = self.local_particles();
         tracer.phase_end(Phase::Verify);
         let (max_count, total_count) = self.count_stats(comm);
         ParOutcome {
@@ -784,7 +794,7 @@ impl RankState {
             total_count,
             steps: self.step,
             kernel: self.kernel_desc(),
-            local_particles: self.local_particles(),
+            local_particles,
         }
     }
 }

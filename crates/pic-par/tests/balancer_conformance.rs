@@ -301,15 +301,15 @@ fn assert_identical(
     }
 }
 
+/// Per-rank outcomes and trace reports of one run.
+type Replicas = Vec<(ParOutcome, Option<TraceReport>)>;
+
 fn run_pair(
     c: &ParConfig,
     ranks: usize,
     run_new: impl Fn(&pic_comm::comm::Communicator, &ParConfig, &mut Tracer) -> ParOutcome + Send + Sync,
     run_old: impl Fn(&pic_comm::comm::Communicator, &ParConfig, &mut Tracer) -> ParOutcome + Send + Sync,
-) -> (
-    Vec<(ParOutcome, Option<TraceReport>)>,
-    Vec<(ParOutcome, Option<TraceReport>)>,
-) {
+) -> (Replicas, Replicas) {
     // Every rank traces, so conformance is checked on all replicas, not
     // just rank 0's view.
     let new = run_threads(ranks, |comm| {
@@ -330,12 +330,7 @@ fn baseline_matches_pre_refactor_loop() {
     for dist in DISTS {
         for ranks in [1usize, 2, 4] {
             let c = cfg(1200, dist, 24);
-            let (new, old) = run_pair(
-                &c,
-                ranks,
-                |comm, c, t| run_baseline_traced(comm, c, t),
-                |comm, c, t| oracle::run_baseline_traced(comm, c, t),
-            );
+            let (new, old) = run_pair(&c, ranks, run_baseline_traced, oracle::run_baseline_traced);
             assert_identical(&format!("baseline {dist:?} ranks={ranks}"), &new, &old);
         }
     }

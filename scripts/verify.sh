@@ -29,8 +29,8 @@ PIC_NO_SIMD=1 cargo test --workspace -q
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo clippy --all-targets -- -D warnings"
-cargo clippy --all-targets -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo check --all-targets"
 # Stable-toolchain compile gate over every target (the AVX-512 kernel
