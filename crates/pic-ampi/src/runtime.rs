@@ -35,12 +35,11 @@ use pic_core::motion::advance_all;
 use pic_core::particle::Particle;
 use pic_core::soa::ParticleBatch;
 use pic_core::verify::{VerifyReport, DEFAULT_TOLERANCE};
-use pic_par::exchange::{route_particles_with, ExchangeBuffers};
+use pic_par::exchange::{route_particles_with, DriftReach, ExchangeBuffers};
 use pic_par::runner::{
-    merge_failing_ids, snapshot_loads, trace_interval, ExchangeMode, ParConfig, ParOutcome,
-    RankKernel, RankStore,
+    merge_failing_ids, snapshot_loads, trace_interval, ParConfig, ParOutcome, RankKernel, RankStore,
 };
-use pic_trace::{Phase, Tracer};
+use pic_trace::{Counter, Phase, Tracer};
 
 /// Run the AMPI-style implementation on this core. All ranks must call it
 /// with identical `cfg` and `params`.
@@ -131,6 +130,7 @@ fn run_ampi_lb(
             sent_window += st.rebalance(comm, s as u64, lb, tracer) as u64;
             tracer.phase_end(Phase::Balance);
         }
+        tracer.add(Counter::Rebins, st.take_rebins());
 
         if every > 0 && (s as u64).is_multiple_of(every) {
             let msgs = st.bufs.take_message_counts();
@@ -205,12 +205,14 @@ pub struct AmpiRankState {
     ///
     /// [`BinnedStore::rebin_with`]: pic_core::bin::BinnedStore::rebin_with
     rebin_spare: ParticleBatch,
-    /// Largest per-step column stride `2k + 1` toward −x and toward +x
-    /// (0 when nothing moves that way), and the largest row hop `|m|`,
-    /// over the population and every injection — exact analytic bounds.
-    reach_left: usize,
-    reach_right: usize,
-    max_abs_m: i64,
+    /// Per-step drift bounds over the population and every injection:
+    /// they size each VP store's drain window.
+    reach: DriftReach,
+    /// Lifetime rebins of the VP stores that migrated away.
+    rebins_departed: u64,
+    /// Lifetime rebins of this core's stores as of the last
+    /// [`AmpiRankState::take_rebins`].
+    rebins_reported: u64,
     events: Vec<Event>,
     next_event: usize,
     /// Global id ledger — identical on every core because events are
@@ -235,27 +237,11 @@ impl AmpiRankState {
         let grid = setup.grid;
         let vps = VpGrid::new(grid.ncells(), cores, d);
         let assignment = vps.initial_assignment();
-        let (mut reach_left, mut reach_right, mut max_abs_m) = (0usize, 0usize, 0i64);
-        let mut reach = |dir: i8, k: u32, m: i32| {
-            let stride = 2 * k as usize + 1;
-            if dir < 0 {
-                reach_left = reach_left.max(stride);
-            } else {
-                reach_right = reach_right.max(stride);
-            }
-            max_abs_m = max_abs_m.max((m as i64).abs());
-        };
         let mut buckets: Vec<Vec<Particle>> = vec![Vec::new(); vps.vp_count()];
         for p in &setup.particles {
-            reach(p.direction(&grid), p.k, p.m);
             let vp = vp_of(&vps, &grid, p);
             if assignment[vp] == rank {
                 buckets[vp].push(*p);
-            }
-        }
-        for e in &setup.events {
-            if let EventKind::Inject { k, m, dir, .. } = e.kind {
-                reach(dir, k, m);
             }
         }
         let stores: Vec<Option<RankStore>> = buckets
@@ -269,14 +255,7 @@ impl AmpiRankState {
             .next()
             .expect("the initial placement gives every core d VPs")
             .kernel_desc();
-        let mut bufs = ExchangeBuffers::new();
-        bufs.set_wire_format(kernel.wire);
-        // VP routing can target any core, so the declared neighborhood is
-        // all-pairs (degree = cores − 1): `Auto` therefore resolves dense,
-        // and the sparse protocol only elides empty payloads.
-        if kernel.exchange.resolve(cores, cores - 1) == ExchangeMode::OverlappedSparse {
-            bufs.enable_sparse(cores, rank, 0..cores);
-        }
+        let rebins_reported = stores.iter().flatten().map(RankStore::rebin_count).sum();
         let mut events = setup.events.clone();
         events.sort_by_key(|e| e.at_step);
         AmpiRankState {
@@ -288,12 +267,12 @@ impl AmpiRankState {
             assignment,
             stores,
             kernel_desc,
-            bufs,
+            bufs: ExchangeBuffers::new(),
             crossers: Vec::new(),
             rebin_spare: ParticleBatch::new(),
-            reach_left,
-            reach_right,
-            max_abs_m,
+            reach: DriftReach::of_setup(setup),
+            rebins_departed: 0,
+            rebins_reported,
             events,
             next_event: 0,
             expected_id_sum: setup.initial_id_sum(),
@@ -319,6 +298,20 @@ impl AmpiRankState {
             .iter()
             .map(|s| s.as_ref().map_or(0, |s| s.len() as u64))
             .collect()
+    }
+
+    /// Counting sorts run by this core's VP stores since the previous
+    /// take — per-step rebins, dirty rebins before a sweep, and the sort
+    /// that builds a gained VP's store — for the `rebins` counter.
+    fn take_rebins(&mut self) -> u64 {
+        let total = self.rebins_departed
+            + self
+                .stores
+                .iter()
+                .flatten()
+                .map(RankStore::rebin_count)
+                .sum::<u64>();
+        total - std::mem::replace(&mut self.rebins_reported, total)
     }
 
     /// This core's particles, VP store by VP store in storage order.
@@ -397,18 +390,15 @@ impl AmpiRankState {
     }
 
     /// Rehome every particle that left its VP's tile, then run the
-    /// amortized rebins. A binned VP store tests only the bins within
-    /// drift reach of its x-edges — a particle in bin `b` has moved at
-    /// most `stride · age` columns since the last rebin, in its own
-    /// direction — unless the VP has a y-edge and particles move
-    /// vertically, when a row leaver can sit in any bin. A crosser bound
-    /// for another VP of this core goes straight to that VP's tail; the
-    /// rest travel in the step's one all-to-all, and arrivals are filed
-    /// into their VP's store by cell. Returns the number of particles
-    /// sent to other cores.
+    /// amortized rebins. A binned VP store tests only the bins of its
+    /// [`DriftReach::drain_window`]: those within drift reach of its
+    /// x-edges, or every bin when the VP has a y-edge and particles move
+    /// vertically. A crosser bound for another VP of this core goes
+    /// straight to that VP's tail; the rest travel in the step's one
+    /// all-to-all, and arrivals are filed into their VP's store by cell.
+    /// Returns the number of particles sent to other cores.
     fn exchange(&mut self, comm: &Communicator) -> usize {
         let grid = self.grid;
-        let full = (0, grid.ncells());
         let crossers = &mut self.crossers;
         crossers.clear();
         for (vp, slot) in self.stores.iter_mut().enumerate() {
@@ -424,16 +414,10 @@ impl AmpiRankState {
                     }
                 }),
                 RankStore::Binned(b) => {
-                    let rows_crossable = self.max_abs_m > 0 && (y0, y1) != full;
-                    let age = b.age() as usize;
-                    let lo = (x0 + self.reach_left * age).min(x1);
-                    let hi = x1.saturating_sub(self.reach_right * age).max(lo);
-                    b.drain_leavers_cols_into(
-                        &grid,
-                        |c| rows_crossable || !(lo..hi).contains(&c),
-                        in_tile,
-                        |p| crossers.push(p),
-                    );
+                    let window =
+                        self.reach
+                            .drain_window((x0, x1), (y0, y1), grid.ncells(), b.age());
+                    b.drain_leavers_cols_into(&grid, window, in_tile, |p| crossers.push(p));
                 }
             }
         }
@@ -531,6 +515,7 @@ impl AmpiRankState {
         for (vp, slot) in self.stores.iter_mut().enumerate() {
             if self.assignment[vp] != self.rank {
                 if let Some(store) = slot.take() {
+                    self.rebins_departed += store.rebin_count();
                     append_particles(&store, &mut moving);
                 }
             }

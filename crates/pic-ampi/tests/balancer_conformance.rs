@@ -23,9 +23,11 @@ use pic_par::runner::{ParConfig, ParOutcome, RankKernel};
 use pic_trace::{Counter, TraceReport, Tracer};
 
 /// Pre-refactor AMPI run loop, copied verbatim from the last commit before
-/// the `LoadBalancer` trait existed. The only mechanical adaptation is the
-/// run header's added `balancer` argument (the header string is not part
-/// of the comparison; the structured records are).
+/// the `LoadBalancer` trait existed. The only mechanical adaptations are
+/// the run header's added `balancer` argument (the header string is not
+/// part of the comparison; the structured records are) and the removal of
+/// the exchange-mode and wire-format selection, now that the exchange has
+/// one path.
 mod oracle {
     use pic_ampi::balancer::Balancer;
     use pic_ampi::model::AmpiParams;
@@ -42,8 +44,7 @@ mod oracle {
     use pic_core::verify::{verify_all, VerifyReport, DEFAULT_TOLERANCE};
     use pic_par::exchange::{route_binned_with, route_particles_with, ExchangeBuffers};
     use pic_par::runner::{
-        merge_failing_ids, snapshot_loads, trace_interval, ExchangeMode, ParConfig, ParOutcome,
-        RankStore,
+        merge_failing_ids, snapshot_loads, trace_interval, ParConfig, ParOutcome, RankStore,
     };
     use pic_trace::{Phase, Tracer};
 
@@ -76,10 +77,6 @@ mod oracle {
             .collect();
         let mut store = RankStore::build(locals, &grid, cfg.kernel, (0, grid.ncells()));
         let mut bufs = ExchangeBuffers::new();
-        bufs.set_wire_format(cfg.kernel.wire);
-        if cfg.kernel.exchange.resolve(cores, cores - 1) == ExchangeMode::OverlappedSparse {
-            bufs.enable_sparse(cores, me, 0..cores);
-        }
 
         let mut events = cfg.setup.events.clone();
         events.sort_by_key(|e| e.at_step);
@@ -335,10 +332,15 @@ fn assert_identical(
             assert_eq!(sn.particles, so.particles, "{label} rank {rank}");
             assert_eq!(sn.loads, so.loads, "{label} rank {rank} step {}", sn.step);
             assert_eq!(sn.stats, so.stats, "{label} rank {rank} step {}", sn.step);
+            // Rebins count the sorts of each side's own store layout
+            // (VP-local stores vs the oracle's one full-grid store, which
+            // never reported them), so only the other counters compare.
             let mut cn = sn.counters;
             let mut co = so.counters;
-            cn[Counter::OverlapNs.idx()] = 0;
-            co[Counter::OverlapNs.idx()] = 0;
+            for c in [Counter::OverlapNs, Counter::Rebins] {
+                cn[c.idx()] = 0;
+                co[c.idx()] = 0;
+            }
             assert_eq!(cn, co, "{label} rank {rank} step {} counters", sn.step);
         }
     }
@@ -402,17 +404,18 @@ fn ampi_adaptive_switch_sequence_is_replicated_on_every_rank() {
 fn vp_stores_match_pre_refactor_loop_across_shapes() {
     // The frozen loop keeps one full-grid store per core; the runtime
     // keeps one store per VP and drains only VP-edge bins. Every shape ×
-    // d × ranks × rebin must give the same particles, VP decisions and
-    // per-step counters.
+    // d × ranks × rebin (with VP migrations every 2 steps at rebin 3)
+    // must give the same particles, VP decisions and per-step counters.
     for (shape, setup) in common::scenarios() {
         for d in [1usize, 2, 4, 8] {
             for ranks in [1usize, 2, 3, 4] {
-                for rebin in [1u32, 3, 16] {
+                for (rebin, interval) in [(1u32, common::INTERVAL), (3, 2), (16, common::INTERVAL)]
+                {
                     let c = ParConfig::new(setup.clone(), common::STEPS)
                         .with_kernel(RankKernel::default().with_rebin_interval(rebin));
                     let params = AmpiParams {
                         d,
-                        interval: common::INTERVAL,
+                        interval,
                         balancer: Balancer::paper_default(),
                     };
                     let new = run_threads(ranks, |comm| {
@@ -425,7 +428,8 @@ fn vp_stores_match_pre_refactor_loop_across_shapes() {
                         let o = oracle::run_ampi_traced(&comm, &c, &params, &mut t);
                         (o, t.finish())
                     });
-                    let label = format!("{shape}, d={d}, {ranks} ranks, rebin {rebin}");
+                    let label =
+                        format!("{shape}, d={d}, {ranks} ranks, rebin {rebin}, F={interval}");
                     assert_identical(&label, &new, &old);
                 }
             }

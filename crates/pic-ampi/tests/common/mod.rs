@@ -54,6 +54,12 @@ pub fn scenarios() -> Vec<(&'static str, SimulationSetup)> {
         ("leftward k=1", base(1, 0, -1)),
         // Row crossers through the VP y-edges (b = 2 at d = 4).
         ("vertical m=1", base(0, 1, 1)),
+        // A slow population joined by a fast leftward injection: the
+        // drain window's left reach comes from the injection alone.
+        (
+            "fast injection",
+            base(0, 0, 1).with_event(Event::inject(2, hot, 60, 3, 0, -1)),
+        ),
         ("events k=1 m=-1", events),
     ]
 }

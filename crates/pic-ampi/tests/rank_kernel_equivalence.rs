@@ -16,7 +16,7 @@ use pic_core::events::{Event, Region};
 use pic_core::geometry::Grid;
 use pic_core::init::InitConfig;
 use pic_core::verify::analytic_tolerance;
-use pic_par::runner::{ExchangeMode, ParConfig, ParOutcome, RankKernel, WireFormat};
+use pic_par::runner::{ParConfig, ParOutcome, RankKernel};
 use pic_trace::{Counter, TraceReport, Tracer};
 
 const STEPS: u32 = 30;
@@ -85,45 +85,12 @@ fn bit_finals(outcomes: &[ParOutcome]) -> Vec<(u64, u64, u64, u64, u64)> {
 
 #[test]
 fn ampi_binned_exact_bitwise_matches_aos() {
-    // The AoS reference runs the dense synchronous exchange (the oracle);
-    // the binned kernel must match it bit for bit under both that oracle
-    // and the sparse VP routing (all-pairs plan — empty payloads elided).
     for ranks in [1usize, 2, 4] {
-        let aos_kernel = RankKernel::aos().with_exchange(ExchangeMode::DenseSync);
-        let aos = bit_finals(&run(aos_kernel, ranks, Balancer::paper_default()));
+        let aos = bit_finals(&run(RankKernel::aos(), ranks, Balancer::paper_default()));
         for rebin in [1u32, 3, 16] {
-            for exchange in [ExchangeMode::DenseSync, ExchangeMode::OverlappedSparse] {
-                let kernel = RankKernel::default()
-                    .with_rebin_interval(rebin)
-                    .with_exchange(exchange);
-                let got = bit_finals(&run(kernel, ranks, Balancer::paper_default()));
-                assert_eq!(aos, got, "{ranks} ranks, rebin {rebin}, {exchange:?}");
-            }
-        }
-    }
-}
-
-#[test]
-fn ampi_typed_wire_bitwise_matches_byte_oracle() {
-    // DESIGN.md §15: the zero-copy typed particle wire is physics-
-    // invisible under VP routing too — every migration wave must land on
-    // the same bits whether the buckets cross the fabric as owned
-    // `Vec<Particle>`s or as the 76-byte serialized oracle records, in
-    // both exchange modes (sparse here runs the all-pairs plan).
-    for ranks in [1usize, 2, 4] {
-        for exchange in [ExchangeMode::DenseSync, ExchangeMode::OverlappedSparse] {
-            let base = RankKernel::default().with_exchange(exchange);
-            let bytes = bit_finals(&run(
-                base.with_wire(WireFormat::Bytes),
-                ranks,
-                Balancer::paper_default(),
-            ));
-            let typed = bit_finals(&run(
-                base.with_wire(WireFormat::Typed),
-                ranks,
-                Balancer::paper_default(),
-            ));
-            assert_eq!(bytes, typed, "{ranks} ranks, {exchange:?}");
+            let kernel = RankKernel::default().with_rebin_interval(rebin);
+            let got = bit_finals(&run(kernel, ranks, Balancer::paper_default()));
+            assert_eq!(aos, got, "{ranks} ranks, rebin {rebin}");
         }
     }
 }
@@ -158,16 +125,18 @@ fn ampi_fast_tier_drift_within_analytic_tolerance() {
     }
 }
 
-/// Traced AMPI run of `cfg` on `ranks` cores, every rank tracing every step.
+/// Traced AMPI run of `cfg` on `ranks` cores with LB rounds every
+/// `interval` steps, every rank tracing every step.
 fn run_traced(
     cfg: &ParConfig,
     ranks: usize,
     d: usize,
+    interval: u32,
     balancer: Balancer,
 ) -> Vec<(ParOutcome, TraceReport)> {
     let params = AmpiParams {
         d,
-        interval: common::INTERVAL,
+        interval,
         balancer,
     };
     run_threads(ranks, |comm| {
@@ -180,7 +149,8 @@ fn run_traced(
 
 /// Bitwise particle state plus every rank-visible record: VP decisions,
 /// loads, and the per-step counters (migrations, messages, collective
-/// bytes). Only the overlap clock, a wall-time reading, is left out.
+/// bytes). Left out are the overlap clock, a wall-time reading, and the
+/// rebin count, which only a binned store has.
 fn assert_same_run(label: &str, a: &[(ParOutcome, TraceReport)], b: &[(ParOutcome, TraceReport)]) {
     let outcomes =
         |r: &[(ParOutcome, TraceReport)]| r.iter().map(|x| x.0.clone()).collect::<Vec<_>>();
@@ -197,8 +167,10 @@ fn assert_same_run(label: &str, a: &[(ParOutcome, TraceReport)], b: &[(ParOutcom
             assert_eq!(sa.loads, sb.loads, "{label} rank {rank} step {}", sa.step);
             let mut ca = sa.counters;
             let mut cb = sb.counters;
-            ca[Counter::OverlapNs.idx()] = 0;
-            cb[Counter::OverlapNs.idx()] = 0;
+            for c in [Counter::OverlapNs, Counter::Rebins] {
+                ca[c.idx()] = 0;
+                cb[c.idx()] = 0;
+            }
             assert_eq!(ca, cb, "{label} rank {rank} step {} counters", sa.step);
         }
     }
@@ -207,29 +179,35 @@ fn assert_same_run(label: &str, a: &[(ParOutcome, TraceReport)], b: &[(ParOutcom
 #[test]
 fn vp_stores_bitwise_match_aos_with_counters_across_shapes() {
     // Benchmark-shaped drift, leftward leavers in the first bins, row
-    // crossers through VP y-edges, and events on migrating VPs — over
-    // d × ranks × rebin. Both kernels run the same exchange mode, so the
-    // message counters must agree too.
+    // crossers through VP y-edges, a fast injection, and events on
+    // migrating VPs — over d × ranks × rebin × LB interval (VPs may move
+    // every 2 steps). Both kernels run the same exchange, so the message
+    // counters must agree too.
     for (shape, setup) in common::scenarios() {
         for d in [1usize, 2, 4, 8] {
             for ranks in [1usize, 2, 3, 4] {
-                let cfg = ParConfig::new(setup.clone(), common::STEPS);
-                let aos = run_traced(
-                    &cfg.clone().with_kernel(RankKernel::aos()),
-                    ranks,
-                    d,
-                    Balancer::paper_default(),
-                );
-                for rebin in [1u32, 3, 16] {
-                    let kernel = RankKernel::default().with_rebin_interval(rebin);
-                    let got = run_traced(
-                        &cfg.clone().with_kernel(kernel),
+                for interval in [2, common::INTERVAL] {
+                    let cfg = ParConfig::new(setup.clone(), common::STEPS);
+                    let aos = run_traced(
+                        &cfg.clone().with_kernel(RankKernel::aos()),
                         ranks,
                         d,
+                        interval,
                         Balancer::paper_default(),
                     );
-                    let label = format!("{shape}, d={d}, {ranks} ranks, rebin {rebin}");
-                    assert_same_run(&label, &aos, &got);
+                    for rebin in [1u32, 3, 16] {
+                        let kernel = RankKernel::default().with_rebin_interval(rebin);
+                        let got = run_traced(
+                            &cfg.clone().with_kernel(kernel),
+                            ranks,
+                            d,
+                            interval,
+                            Balancer::paper_default(),
+                        );
+                        let label =
+                            format!("{shape}, d={d}, {ranks} ranks, rebin {rebin}, F={interval}");
+                        assert_same_run(&label, &aos, &got);
+                    }
                 }
             }
         }

@@ -515,8 +515,17 @@ pub fn alltoallv_take_into<P: crate::payload::WirePayload>(
     outgoing: &mut [P],
     incoming: &mut Vec<P>,
 ) {
-    let handle = crate::sparse::alltoallv_start(comm, outgoing);
-    crate::sparse::alltoallv_finish_into(comm, handle, incoming);
+    assert_eq!(
+        outgoing.len(),
+        comm.size(),
+        "alltoallv needs one payload per rank"
+    );
+    let base = comm.next_coll_base();
+    for (dst, payload) in outgoing.iter_mut().enumerate() {
+        comm.send_coll(dst, base, std::mem::replace(payload, P::empty()));
+    }
+    incoming.clear();
+    incoming.extend((0..comm.size()).map(|src| comm.recv_coll::<P>(src, base)));
 }
 
 // ---------------------------------------------------------------------------

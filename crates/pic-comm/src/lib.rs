@@ -37,14 +37,9 @@ pub mod collective;
 pub mod comm;
 pub mod endpoint;
 pub mod payload;
-pub mod sparse;
 pub mod world;
 
 pub use collective::*;
 pub use comm::{Communicator, RecvHandle, ReduceOp, SendHandle, Tag};
 pub use payload::{Payload, PayloadKind, WirePayload};
-pub use sparse::{
-    alltoallv_finish_into, alltoallv_sparse_finish_into, alltoallv_sparse_start, alltoallv_start,
-    AlltoallvHandle, SparsePlan,
-};
 pub use world::{run_threads, ThreadWorld};

@@ -538,79 +538,20 @@ impl BinnedStore {
         consts: &SimConstants,
         charges: Option<&ChargeGrid>,
     ) {
-        self.prepare_sweep(grid);
-        self.sweep_bins(grid, consts, charges, 0, self.ncols);
-        self.sweep_tail_pass(grid, consts, charges);
-        self.end_sweep();
-    }
-
-    /// First stage of a split sweep: fold any pending structural edits in
-    /// (rebin if dirty) so the bin spans are valid for [`Self::sweep_cols`].
-    /// [`Self::sweep_local`] is exactly
-    /// `prepare_sweep → sweep_cols(all) → sweep_tail_pass → end_sweep`,
-    /// so a split sweep is bit-identical to the one-call form no matter
-    /// how the column range is partitioned: every bin runs the same tier
-    /// kernel with the same age parity against the same fixed per-step
-    /// mesh, and particles never interact within a step.
-    pub fn prepare_sweep(&mut self, grid: &Grid) {
         if self.dirty {
             self.rebin(grid);
         }
-    }
-
-    /// Sweep only the bins of the **global** columns in `cols` (clamped to
-    /// this store's slab). The overlapped rank step uses this to advance
-    /// border columns first, launch their exchange, then advance the
-    /// interior while messages are in flight. Requires
-    /// [`Self::prepare_sweep`]; no structural edits may intervene before
-    /// [`Self::end_sweep`].
-    pub fn sweep_cols(
-        &mut self,
-        grid: &Grid,
-        consts: &SimConstants,
-        charges: Option<&ChargeGrid>,
-        cols: std::ops::Range<usize>,
-    ) {
-        assert!(!self.dirty, "sweep_cols requires prepare_sweep");
-        let hi = self.col_lo + self.ncols;
-        let b_lo = cols.start.clamp(self.col_lo, hi) - self.col_lo;
-        let b_hi = cols.end.clamp(self.col_lo, hi) - self.col_lo;
-        self.sweep_bins(grid, consts, charges, b_lo, b_hi);
-    }
-
-    /// Advance the tail region (exchange arrivals) — the per-particle
-    /// stage of a split sweep. Must run before new arrivals are appended
-    /// with [`Self::push_tail`].
-    pub fn sweep_tail_pass(
-        &mut self,
-        grid: &Grid,
-        consts: &SimConstants,
-        charges: Option<&ChargeGrid>,
-    ) {
+        self.sweep_bins(grid, consts, charges);
         self.sweep_tail(grid, consts, charges);
-    }
-
-    /// Close a split sweep: bump the age so the next sweep flips charge
-    /// parity. Call exactly once per step, after every column range and
-    /// the tail have been swept.
-    pub fn end_sweep(&mut self) {
         self.age += 1;
     }
 
-    /// The tier kernel over bins `b_lo..b_hi` (local bin indices) at the
-    /// current age parity.
-    fn sweep_bins(
-        &mut self,
-        grid: &Grid,
-        consts: &SimConstants,
-        charges: Option<&ChargeGrid>,
-        b_lo: usize,
-        b_hi: usize,
-    ) {
+    /// The tier kernel over every bin at the current age parity.
+    fn sweep_bins(&mut self, grid: &Grid, consts: &SimConstants, charges: Option<&ChargeGrid>) {
         let parity = self.age & 1;
         let row0 = charges.map(|cg| cg.bounds().1 .0);
         let binned = self.offsets[self.ncols];
-        for b in b_lo..b_hi {
+        for b in 0..self.ncols {
             let (i, span_end) = (self.offsets[b], self.offsets[b + 1]);
             if i == span_end {
                 continue;
@@ -674,20 +615,9 @@ impl BinnedStore {
 
     /// Sweeps since the last rebin. Between rebins a particle in bin `b`
     /// may have drifted up to `stride · age` columns from `b`, so any
-    /// bin-indexed border set must widen by the age (see
-    /// [`Self::border_width`]).
+    /// bin-indexed drain window must widen by the age.
     pub fn age(&self) -> u32 {
         self.age
-    }
-
-    /// Width (in columns) of the bin-space border that is guaranteed to
-    /// contain every possible leaver after the *next* sweep, for a
-    /// per-step column stride of `stride`: particles drift `stride` per
-    /// sweep away from their bin column, so after `age` sweeps plus the
-    /// upcoming one, only bins within `stride · (age + 1)` of a subdomain
-    /// edge can hold a particle that exits it.
-    pub fn border_width(&self, stride: usize) -> usize {
-        stride * (self.age as usize + 1)
     }
 
     /// Whether the amortized rebin is due (interval elapsed or structural
@@ -767,11 +697,11 @@ impl BinnedStore {
     /// [`Self::drain_leavers_into`] restricted to the bins of global
     /// columns for which `active(col)` is true, plus the tail region
     /// (arrivals may sit in any column and are always tested). Inactive
-    /// bins compact wholesale without the `keep` test — the overlapped
-    /// exchange drains only *border* columns this way, because interior
-    /// particles cannot out-run the border width in one step. The caller
-    /// guarantees inactive columns hold no leavers; when the store is
-    /// dirty the binning is stale, so every particle is tested regardless.
+    /// bins compact wholesale without the `keep` test — the rank exchange
+    /// drains only the bins within drift reach of a subdomain edge this
+    /// way. The caller guarantees inactive columns hold no leavers; when
+    /// the store is dirty the binning is stale, so every particle is
+    /// tested regardless.
     pub fn drain_leavers_cols_into(
         &mut self,
         grid: &Grid,
@@ -1393,99 +1323,6 @@ mod tests {
         for rebin in [1u32, 3] {
             let (want, got) = run_split_stores(true, rebin, 40, 500, Distribution::PAPER_SKEW);
             assert_eq!(want, got, "rebin={rebin}: charge-grid source diverged");
-        }
-    }
-
-    /// The overlapped rank ordering — border sweep, tail sweep, border
-    /// drain, interior sweep, arrivals, age bump — run on the same
-    /// two-store split as [`run_split_stores`].
-    fn run_split_stores_overlapped(
-        charges: bool,
-        rebin: u32,
-        steps: u32,
-        n: u64,
-        dist: Distribution,
-        border: usize,
-    ) -> Vec<Particle> {
-        let (grid, ps) = population(n, dist);
-        let consts = SimConstants::CANONICAL;
-        let ncells = grid.ncells();
-        let mid = ncells / 2;
-        let cg_left = ChargeGrid::build(&grid, &consts, (0, mid), (0, ncells));
-        let cg_right = ChargeGrid::build(&grid, &consts, (mid, ncells), (0, ncells));
-        let split = |lo: usize, hi: usize| -> Vec<Particle> {
-            ps.iter()
-                .copied()
-                .filter(|p| (lo..hi).contains(&grid.cell_of(p.x)))
-                .collect()
-        };
-        let mut left = BinnedStore::new_subdomain(&split(0, mid), &grid, rebin, 0, mid);
-        let mut right = BinnedStore::new_subdomain(&split(mid, ncells), &grid, rebin, mid, ncells);
-        for _ in 0..steps {
-            let (mut to_right, mut to_left) = (Vec::new(), Vec::new());
-            for (store, lo, hi, cg, out) in [
-                (&mut left, 0, mid, &cg_left, &mut to_right),
-                (&mut right, mid, ncells, &cg_right, &mut to_left),
-            ] {
-                let cg = charges.then_some(cg);
-                store.prepare_sweep(&grid);
-                // Bins are indexed by the column at the last rebin;
-                // particles drift up to stride·age from it, so the border
-                // widens with bin age.
-                let w = store.border_width(border);
-                let b_lo = (lo + w).min(hi);
-                let b_hi = hi.saturating_sub(w).max(b_lo);
-                store.sweep_cols(&grid, &consts, cg, lo..b_lo);
-                store.sweep_cols(&grid, &consts, cg, b_hi..hi);
-                store.sweep_tail_pass(&grid, &consts, cg);
-                let is_border = |c: usize| !(b_lo..b_hi).contains(&c);
-                store.drain_leavers_cols_into(
-                    &grid,
-                    is_border,
-                    |c, _| (lo..hi).contains(&c),
-                    |p| out.push(p),
-                );
-                // Interior advances "while messages are in flight".
-                store.sweep_cols(&grid, &consts, cg, b_lo..b_hi);
-            }
-            to_right.into_iter().for_each(|p| right.push_tail(p));
-            to_left.into_iter().for_each(|p| left.push_tail(p));
-            left.end_sweep();
-            right.end_sweep();
-            if left.rebin_due() {
-                left.rebin(&grid);
-            }
-            if right.rebin_due() {
-                right.rebin(&grid);
-            }
-        }
-        let mut got = [left.to_particles(), right.to_particles()].concat();
-        got.sort_unstable_by_key(|p| p.id);
-        got
-    }
-
-    #[test]
-    fn overlapped_split_sweep_is_bit_identical_to_synchronous() {
-        // Border width 3 covers the k = 1 stride (2k + 1); the overlapped
-        // ordering must not change a single bit vs the one-call sweep.
-        for rebin in [1u32, 3, 16] {
-            for charges in [false, true] {
-                let (want, got) =
-                    run_split_stores(charges, rebin, 40, 600, Distribution::Geometric { r: 0.9 });
-                assert_eq!(want, got, "sync harness self-check failed");
-                let overlapped = run_split_stores_overlapped(
-                    charges,
-                    rebin,
-                    40,
-                    600,
-                    Distribution::Geometric { r: 0.9 },
-                    3,
-                );
-                assert_eq!(
-                    got, overlapped,
-                    "rebin={rebin} charges={charges}: overlapped ordering diverged"
-                );
-            }
         }
     }
 

@@ -111,7 +111,7 @@ pub fn verify_velocity(
     tol: f64,
 ) -> ParticleVerdict {
     let (evx, evy) = expected_velocity(grid, consts, p, steps);
-    let error = (p.vx - evx).abs().max((p.vy - evy).abs());
+    let error = axis_error((p.vx - evx).abs(), (p.vy - evy).abs());
     ParticleVerdict {
         id: p.id,
         ok: error <= tol,
@@ -124,7 +124,8 @@ pub fn verify_velocity(
 pub struct ParticleVerdict {
     pub id: u64,
     pub ok: bool,
-    /// max(|Δx|, |Δy|) against the analytic position.
+    /// max(|Δx|, |Δy|) against the analytic position (`+∞` when either
+    /// axis is NaN).
     pub error: f64,
 }
 
@@ -135,7 +136,7 @@ pub fn verify_particle(grid: &Grid, p: &Particle, steps: u64, tol: f64) -> Parti
     // L−ε and expected 0 (or vice versa) count as matching.
     let dx = grid.periodic_delta(p.x, ex).abs();
     let dy = grid.periodic_delta(p.y, ey).abs();
-    let error = dx.max(dy);
+    let error = axis_error(dx, dy);
     ParticleVerdict {
         id: p.id,
         ok: error <= tol,
@@ -191,7 +192,20 @@ fn position_error(grid: &Grid, n: i64, p: &Probe, steps: u64) -> f64 {
     let ey = row as f64 + (p.y0 - p.y0.floor());
     let dx = grid.periodic_delta(p.x, ex).abs();
     let dy = grid.periodic_delta(p.y, ey).abs();
-    dx.max(dy)
+    axis_error(dx, dy)
+}
+
+/// `max(dx, dy)` where a NaN on either axis is an error of `+∞`:
+/// `f64::max` returns the other operand when one is NaN, which would let
+/// a particle with a NaN coordinate pass on its other axis and keep the
+/// NaN out of `max_error`.
+#[inline]
+fn axis_error(dx: f64, dy: f64) -> f64 {
+    if dx.is_nan() || dy.is_nan() {
+        f64::INFINITY
+    } else {
+        dx.max(dy)
+    }
 }
 
 /// Aggregate verification report.

@@ -242,11 +242,10 @@ fn keeps_the_sixteen_smallest_failing_ids() {
     assert_same(&merged, &got, "merged halves");
 }
 
-/// NaN positions take the same path through the kernel and the reference:
-/// `max(|Δx|, |Δy|)` is `f64::max`, which keeps the other axis's error when
-/// one axis is NaN, and `max_error` skips a NaN error.
+/// A NaN coordinate on either axis is an error of `+∞`: the particle
+/// fails and `max_error` is `∞`, in the kernel and the reference alike.
 #[test]
-fn nan_positions_report_identically() {
+fn nan_positions_fail_verification() {
     let grid = Grid::new(16).unwrap();
     let mut ps = InitConfig::new(grid, 40, Distribution::Uniform)
         .build()
@@ -257,16 +256,21 @@ fn nan_positions_report_identically() {
     ps[17].x = f64::NAN;
     ps[17].y = f64::NAN;
     ps[21].y = grid.wrap_coord(ps[21].y + 0.5);
+    let nan_ids = [ps[3].id, ps[9].id, ps[17].id];
     ps.reverse();
     let expected = ps.iter().map(|p| p.id as u128).sum();
     let batch = ParticleBatch::from_particles(&ps);
     let got = in_place(&grid, &batch, 0, expected, DEFAULT_TOLERANCE);
-    assert_same(
-        &got,
-        &reference(&grid, &ps, 0, expected, DEFAULT_TOLERANCE),
-        "nan",
-    );
-    assert_eq!(got.max_error, 0.5);
+    let want = reference(&grid, &ps, 0, expected, DEFAULT_TOLERANCE);
+    assert_same(&got, &want, "nan");
+    for (label, r) in [("kernel", &got), ("reference", &want)] {
+        assert!(!r.passed(), "{label}: a NaN position must FAIL");
+        assert_eq!(r.max_error, f64::INFINITY, "{label}");
+        assert_eq!(r.position_failures, 4, "{label}");
+        for id in nan_ids {
+            assert!(r.failing_ids.contains(&id), "{label}: id {id} not failing");
+        }
+    }
 }
 
 #[test]

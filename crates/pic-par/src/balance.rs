@@ -119,6 +119,21 @@ pub fn run_balanced_traced(
     balancer: &mut dyn LoadBalancer,
     tracer: &mut Tracer,
 ) -> ParOutcome {
+    let st = balanced_loop(comm, cfg, impl_name, balancer, tracer);
+    let out = st.finish_traced(comm, tracer);
+    tracer.set_final_particles(out.total_count);
+    out
+}
+
+/// The steps of [`run_balanced_traced`]; returns the rank state before
+/// verification.
+fn balanced_loop(
+    comm: &Communicator,
+    cfg: &ParConfig,
+    impl_name: &str,
+    balancer: &mut dyn LoadBalancer,
+    tracer: &mut Tracer,
+) -> RankState {
     let decomp = Decomp2d::uniform(cfg.setup.grid.ncells(), comm.size());
     let mut st = RankState::with_kernel(&cfg.setup, decomp, comm.rank(), cfg.kernel);
     let every = trace_interval(comm, tracer);
@@ -147,9 +162,7 @@ pub fn run_balanced_traced(
         }
         tracer.end_step(global_count);
     }
-    let out = st.finish_traced(comm, tracer);
-    tracer.set_final_particles(out.total_count);
-    out
+    st
 }
 
 /// One balance round: gather what the strategy needs (fixed order —
@@ -298,6 +311,27 @@ mod tests {
         assert_eq!(report.summary.balancer, "adaptive");
         assert_eq!(report.summary.switches, report.switches.len() as u64);
         assert!(report.ndjson.contains("\"type\":\"switch\""));
+    }
+
+    #[test]
+    fn rebins_counter_includes_balance_round_reanchors() {
+        // Cuts move every 2 steps, far more often than the 16-step rebin
+        // interval, so most sorts are the re-anchors of a balance round.
+        // Every one must reach the `rebins` counter: summed over the run,
+        // it equals the store's own count minus its construction sort.
+        use pic_cluster::balancer::DiffusionLb;
+        let c = cfg(1200, Distribution::Geometric { r: 0.85 }, 30);
+        let per_rank = run_threads(2, |comm| {
+            let mut lb = DiffusionLb::new(2, 0, 1, Axes::X);
+            let mut tracer = Tracer::in_memory(1);
+            let st = balanced_loop(&comm, &c, "diffusion", &mut lb, &mut tracer);
+            let counted = tracer.finish().expect("traced").summary.counters[Counter::Rebins.idx()];
+            (counted, st.store.rebin_count() - 1)
+        });
+        for (rank, &(counted, sorts)) in per_rank.iter().enumerate() {
+            assert_eq!(counted, sorts, "rank {rank}");
+            assert!(counted > 30 / 16 + 1, "rank {rank}: only {counted} rebins");
+        }
     }
 
     #[test]

@@ -174,34 +174,6 @@ impl Decomp2d {
         self.ycuts = ycuts;
     }
 
-    /// Ranks adjacent to `rank` in the processor grid: the Cartesian
-    /// 8-stencil (`cx ± 1`, `cy ± 1`) with periodic wrap (the mesh is a
-    /// torus, so particles leaving column `0` arrive in column
-    /// `ncells − 1`). Self is excluded and wrap duplicates collapse, so on
-    /// small grids (`px ≤ 2`) the set simply shrinks. The relation is
-    /// symmetric by construction — the property
-    /// [`pic_comm::SparsePlan`] requires.
-    ///
-    /// Note the set depends only on `(px, py)`, never on the cut
-    /// positions: moving cuts re-shapes subdomains but not which ranks
-    /// border each other. A particle can still out-run the stencil when a
-    /// cut squeezes a processor column thinner than its per-step stride —
-    /// the sparse exchange's escape flag covers exactly that case.
-    pub fn neighbors_of(&self, rank: usize) -> Vec<usize> {
-        let (cx, cy) = self.coords_of(rank);
-        let mut out = Vec::with_capacity(8);
-        for dy in [self.py - 1, 0, 1] {
-            for dx in [self.px - 1, 0, 1] {
-                let n = self.rank_of((cx + dx) % self.px, (cy + dy) % self.py);
-                if n != rank && !out.contains(&n) {
-                    out.push(n);
-                }
-            }
-        }
-        out.sort_unstable();
-        out
-    }
-
     /// Verify the decomposition partitions the grid (used by tests and
     /// debug assertions).
     pub fn is_partition(&self) -> bool {
@@ -323,34 +295,6 @@ mod tests {
         // Rotated skew: the mirror image.
         assert!(max_load(&rows, SkewAxis::Y) > 3.0 * ideal);
         assert!(max_load(&cols, SkewAxis::Y) < 1.01 * ideal);
-    }
-
-    #[test]
-    fn neighbor_stencil_is_symmetric_and_wraps() {
-        // 4×3 grid: every interior/edge rank sees the full 8-stencil via
-        // periodic wrap, and the relation is symmetric.
-        let d = Decomp2d::uniform_grid(64, 4, 3);
-        for r in 0..12 {
-            let ns = d.neighbors_of(r);
-            assert_eq!(ns.len(), 8, "rank {r}: {ns:?}");
-            assert!(!ns.contains(&r));
-            for &n in &ns {
-                assert!(d.neighbors_of(n).contains(&r), "{r} <-> {n}");
-            }
-        }
-        // 2×2: wrap duplicates collapse — everyone borders everyone.
-        let d = Decomp2d::uniform_grid(16, 2, 2);
-        for r in 0..4 {
-            let mut want: Vec<usize> = (0..4).filter(|&x| x != r).collect();
-            want.sort_unstable();
-            assert_eq!(d.neighbors_of(r), want);
-        }
-        // Column world: ring of two sides.
-        let d = Decomp2d::columns(64, 8);
-        assert_eq!(d.neighbors_of(0), vec![1, 7]);
-        assert_eq!(d.neighbors_of(3), vec![2, 4]);
-        // Degenerate single rank: no neighbors.
-        assert!(Decomp2d::columns(8, 1).neighbors_of(0).is_empty());
     }
 
     #[test]

@@ -7,91 +7,49 @@
 //! arbitrary hops — the paper allows "high particle speeds, in which case
 //! load imbalances have a more (pseudo-)random nature" — via an
 //! owner-directed personalized all-to-all.
+//!
+//! There is one path (DESIGN.md §14): drain the leavers, stage one typed
+//! `Vec<Particle>` bucket per destination, move the buckets through one
+//! dense synchronous all-to-all, and file the arrivals into the tail. The
+//! per-step drain of a binned store tests only the bins a [`DriftReach`]
+//! window says can hold a leaver.
 
 use crate::decomp::Decomp2d;
+use pic_comm::collective::alltoallv_take_into;
 use pic_comm::comm::Communicator;
-use pic_comm::sparse::{
-    alltoallv_finish_into, alltoallv_sparse_finish_into, alltoallv_sparse_start, alltoallv_start,
-    AlltoallvHandle, SparsePlan,
-};
 use pic_core::bin::BinnedStore;
+use pic_core::events::EventKind;
 use pic_core::geometry::Grid;
+use pic_core::init::SimulationSetup;
 use pic_core::particle::Particle;
+use std::ops::Range;
 
 /// Upper bound on recycled wire buffers held between steps (bounds the
 /// capacity the free-list can pin on wildly asymmetric traffic).
 const MAX_SPARE_BUFS: usize = 64;
 
-/// How particle payloads are represented on the wire.
-///
-/// The transport is in-process, so serialization is a choice, not a
-/// necessity. `Typed` (the default) moves the per-destination staging
-/// buckets — `Vec<Particle>` — through the channel as-is: zero encode and
-/// decode passes, zero per-particle copies, ownership transfer only.
-/// `Bytes` is the original [`Particle::encode`] wire, kept as the
-/// bit-exact oracle and as the representation a checkpoint or a real-MPI
-/// backend would need. Both formats are bit-identical in outcome (the
-/// equivalence suites pin this); only the exchange cost differs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WireFormat {
-    /// Serialize into `Vec<u8>` via [`Particle::encode`] / decode on
-    /// arrival — the oracle lane.
-    Bytes,
-    /// Route owned `Vec<Particle>` buffers — the zero-copy fast lane.
-    #[default]
-    Typed,
-}
-
-impl WireFormat {
-    pub fn name(self) -> &'static str {
-        match self {
-            WireFormat::Bytes => "bytes",
-            WireFormat::Typed => "typed",
-        }
-    }
-}
-
 /// Reusable scratch for the exchange path: per-destination staging
-/// buckets, the kept-particle buffer, and the wire-side scratch. Holding
-/// one of these in per-rank state makes the steady-state exchange loop
+/// buckets, the kept-particle buffer and the arrival buckets. Holding one
+/// of these in per-rank state makes the steady-state exchange loop
 /// allocation-free on the staging side — buckets are `clear()`ed, not
-/// dropped, and wire buffers are *recycled*: every payload handed to
-/// the transport surrenders its ownership (channel transfer, like an MPI
-/// send buffer), but the buffers received from other ranks donate their
-/// capacity back to the free-list afterwards, so steady symmetric
-/// traffic circulates buffers instead of allocating them.
-///
-/// On the [`WireFormat::Typed`] lane the staging buckets themselves are
-/// the wire payloads — `encode_wire` and the decode pass disappear, and
-/// the typed free-list (`spare_t`) recycles arrival buckets into the next
-/// step's staging slots.
+/// dropped, and wire buffers are *recycled*: every bucket handed to the
+/// transport surrenders its ownership (channel transfer, like an MPI send
+/// buffer), but the buckets received from other ranks donate their
+/// capacity back to the free-list afterwards, so steady symmetric traffic
+/// circulates buffers instead of allocating them.
 #[derive(Debug, Default)]
 pub struct ExchangeBuffers {
-    /// Per-destination staging buckets. On the typed lane these go on the
-    /// wire as-is (slots are emptied by the take-based all-to-all and
-    /// refilled from `spare_t` next step).
+    /// Per-destination staging buckets. They go on the wire as-is (slots
+    /// are emptied by the take-based all-to-all and refilled from `spare`
+    /// next step).
     outgoing: Vec<Vec<Particle>>,
     kept: Vec<Particle>,
-    /// Per-destination byte wire payloads (bytes lane only); slots are
-    /// emptied by the take-based all-to-all and refilled from `spare`.
-    wire: Vec<Vec<u8>>,
-    /// Arrival payloads, bytes lane (outer vector reused across steps).
-    inbox: Vec<Vec<u8>>,
-    /// Recycled byte buffers feeding the next encode pass.
-    spare: Vec<Vec<u8>>,
-    /// Arrival payloads, typed lane (outer vector reused across steps).
-    inbox_t: Vec<Vec<Particle>>,
-    /// Recycled typed buckets feeding the next staging pass.
-    spare_t: Vec<Vec<Particle>>,
-    /// Neighbor topology for the sparse exchange; `None` routes every
-    /// payload through the dense synchronous all-to-all (the oracle path).
-    plan: Option<SparsePlan>,
-    /// Wire representation of particle payloads.
-    format: WireFormat,
+    /// Arrival buckets (outer vector reused across steps).
+    inbox: Vec<Vec<Particle>>,
+    /// Recycled arrival buckets feeding the next staging pass.
+    spare: Vec<Vec<Particle>>,
     /// Payload messages put on the wire since the last counter take.
     msgs_sent: u64,
-    /// Payload messages the sparse protocol elided since the last take.
-    msgs_skipped: u64,
 }
 
 impl ExchangeBuffers {
@@ -99,170 +57,131 @@ impl ExchangeBuffers {
         ExchangeBuffers::default()
     }
 
-    /// Route subsequent exchanges through the sparse neighbor-aware
-    /// protocol. `neighbors` must be symmetric across ranks (see
-    /// [`SparsePlan`]); calling again replaces the topology while keeping
-    /// the plan's recycled scratch, and must keep `size`/`my_rank` fixed.
-    pub fn enable_sparse(
-        &mut self,
-        size: usize,
-        my_rank: usize,
-        neighbors: impl IntoIterator<Item = usize>,
-    ) {
-        match &mut self.plan {
-            Some(p) => p.set_neighbors(neighbors),
-            None => self.plan = Some(SparsePlan::new(size, my_rank, neighbors)),
-        }
-    }
-
-    /// Is the sparse protocol active for these buffers?
-    pub fn sparse_enabled(&self) -> bool {
-        self.plan.is_some()
-    }
-
-    /// Select the wire representation for subsequent exchanges (see
-    /// [`WireFormat`]). Safe to change between steps; both formats are
-    /// bit-identical in outcome.
-    pub fn set_wire_format(&mut self, format: WireFormat) {
-        self.format = format;
-    }
-
-    /// The active wire representation.
-    pub fn wire_format(&self) -> WireFormat {
-        self.format
-    }
-
-    /// Drain the accumulated `(sent, skipped)` wire-message counters —
-    /// payload messages actually sent vs. elided by the sparse protocol
-    /// since the previous take. Feeds the `msgs_sent` / `msgs_skipped`
-    /// trace counters.
-    pub fn take_message_counts(&mut self) -> (u64, u64) {
-        (
-            std::mem::take(&mut self.msgs_sent),
-            std::mem::take(&mut self.msgs_skipped),
-        )
+    /// Drain the wire-message count accumulated since the previous take
+    /// (the dense all-to-all sends `P` payloads per call, the
+    /// self-delivery included). Feeds the `msgs_sent` trace counter.
+    pub fn take_message_counts(&mut self) -> u64 {
+        std::mem::take(&mut self.msgs_sent)
     }
 
     /// Prepare the per-destination staging buckets for a new exchange:
-    /// size the outer vector, clear every bucket, and — on the typed lane,
-    /// where sends consume the buckets themselves — refill empty-capacity
-    /// slots from the typed free-list.
+    /// size the outer vector, clear every bucket, and refill
+    /// empty-capacity slots (the sends consumed them) from the free-list.
     fn begin_staging(&mut self, nranks: usize) {
         self.outgoing.resize_with(nranks, Vec::new);
-        self.outgoing.iter_mut().for_each(Vec::clear);
-        if self.format == WireFormat::Typed {
-            for slot in &mut self.outgoing {
-                if slot.capacity() == 0 {
-                    if let Some(mut recycled) = self.spare_t.pop() {
-                        recycled.clear();
-                        *slot = recycled;
-                    }
+        for slot in &mut self.outgoing {
+            slot.clear();
+            if slot.capacity() == 0 {
+                if let Some(recycled) = self.spare.pop() {
+                    *slot = recycled;
                 }
             }
         }
     }
 
-    /// Put the staged buckets on the wire through the configured (sparse
-    /// or dense) all-to-all and account the message counters. The bytes
-    /// lane encodes first; the typed lane sends the buckets themselves.
-    fn start_wire(&mut self, comm: &Communicator) -> AlltoallvHandle {
-        let h = match self.format {
-            WireFormat::Bytes => {
-                self.encode_wire(comm.size());
-                match &mut self.plan {
-                    Some(plan) => alltoallv_sparse_start(comm, &mut self.wire, plan),
-                    None => alltoallv_start(comm, &mut self.wire),
-                }
-            }
-            WireFormat::Typed => match &mut self.plan {
-                Some(plan) => alltoallv_sparse_start(comm, &mut self.outgoing, plan),
-                None => alltoallv_start(comm, &mut self.outgoing),
-            },
-        };
-        self.msgs_sent += h.messages_sent();
-        self.msgs_skipped += h.messages_skipped();
-        h
-    }
-
-    /// Complete an exchange started by [`ExchangeBuffers::start_wire`] and
-    /// deliver every arrival (in source-rank order, self excluded) to
-    /// `sink`, recycling the arrival buffers afterwards. Returns the
-    /// particle count delivered. The bytes lane decodes; the typed lane
-    /// drains the received buckets directly — no per-particle decode pass.
-    fn finish_arrivals(
-        &mut self,
-        comm: &Communicator,
-        handle: AlltoallvHandle,
-        mut sink: impl FnMut(Particle),
-    ) -> usize {
+    /// Move the staged buckets through the all-to-all and deliver every
+    /// arrival (in source-rank order, self excluded) to `sink`, recycling
+    /// the arrival buckets afterwards. Returns the particle count
+    /// delivered.
+    fn exchange(&mut self, comm: &Communicator, mut sink: impl FnMut(Particle)) -> usize {
+        alltoallv_take_into(comm, &mut self.outgoing, &mut self.inbox);
+        self.msgs_sent += comm.size() as u64;
         let me = comm.rank();
         let mut received = 0usize;
-        match self.format {
-            WireFormat::Bytes => {
-                match &mut self.plan {
-                    Some(plan) => alltoallv_sparse_finish_into(comm, handle, plan, &mut self.inbox),
-                    None => alltoallv_finish_into(comm, handle, &mut self.inbox),
-                }
-                for (src, buf) in self.inbox.iter().enumerate() {
-                    if src == me || buf.is_empty() {
-                        continue;
-                    }
-                    received +=
-                        Particle::decode_each(buf, &mut sink).expect("corrupt particle payload");
-                }
-                for buf in self.inbox.drain(..) {
-                    if buf.capacity() > 0 && self.spare.len() < MAX_SPARE_BUFS {
-                        self.spare.push(buf);
-                    }
-                }
+        for (src, bucket) in self.inbox.iter_mut().enumerate() {
+            if src == me {
+                continue;
             }
-            WireFormat::Typed => {
-                match &mut self.plan {
-                    Some(plan) => {
-                        alltoallv_sparse_finish_into(comm, handle, plan, &mut self.inbox_t)
-                    }
-                    None => alltoallv_finish_into(comm, handle, &mut self.inbox_t),
-                }
-                for (src, bucket) in self.inbox_t.iter_mut().enumerate() {
-                    if src == me {
-                        continue;
-                    }
-                    received += bucket.len();
-                    for p in bucket.drain(..) {
-                        sink(p);
-                    }
-                }
-                for bucket in self.inbox_t.drain(..) {
-                    if bucket.capacity() > 0 && self.spare_t.len() < MAX_SPARE_BUFS {
-                        self.spare_t.push(bucket);
-                    }
-                }
+            received += bucket.len();
+            for p in bucket.drain(..) {
+                sink(p);
+            }
+        }
+        for mut bucket in self.inbox.drain(..) {
+            if bucket.capacity() > 0 && self.spare.len() < MAX_SPARE_BUFS {
+                bucket.clear();
+                self.spare.push(bucket);
             }
         }
         received
     }
+}
 
-    /// Encode the staged `outgoing` buckets into per-destination byte wire
-    /// payloads, drawing capacity from the recycled free-list (bytes lane).
-    fn encode_wire(&mut self, nranks: usize) {
-        self.wire.resize_with(nranks, Vec::new);
-        for (dst, bucket) in self.outgoing.iter().enumerate() {
-            if bucket.is_empty() {
-                continue;
-            }
-            let buf = &mut self.wire[dst];
-            debug_assert!(buf.is_empty(), "wire slot {dst} not drained");
-            if buf.capacity() == 0 {
-                if let Some(mut recycled) = self.spare.pop() {
-                    recycled.clear();
-                    *buf = recycled;
-                }
-            }
-            buf.reserve(bucket.len() * Particle::WIRE_SIZE);
-            for p in bucket {
-                p.encode(buf);
+/// Per-step drift bounds of a whole run — the initial population and
+/// every scheduled injection — from the analytic motion contract: a
+/// particle moves exactly `2k + 1` columns per step in its drift direction
+/// and `m` rows. They bound which bins of a binned store can hold a
+/// particle that left the store's tile.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DriftReach {
+    /// Largest per-step column stride toward −x (0 when nothing drifts
+    /// left).
+    reach_left: usize,
+    /// Largest per-step column stride toward +x (0 when nothing drifts
+    /// right).
+    reach_right: usize,
+    /// Largest per-step row hop `|m|`; 0 means no particle changes row.
+    max_abs_m: i64,
+}
+
+impl DriftReach {
+    /// The bounds over `setup`'s population and every injection event.
+    pub fn of_setup(setup: &SimulationSetup) -> DriftReach {
+        let mut reach = DriftReach::default();
+        for p in &setup.particles {
+            reach.include(p.direction(&setup.grid), p.k, p.m);
+        }
+        for e in &setup.events {
+            if let EventKind::Inject { k, m, dir, .. } = e.kind {
+                reach.include(dir, k, m);
             }
         }
+        reach
+    }
+
+    fn include(&mut self, dir: i8, k: u32, m: i32) {
+        let stride = 2 * k as usize + 1;
+        if dir < 0 {
+            self.reach_left = self.reach_left.max(stride);
+        } else {
+            self.reach_right = self.reach_right.max(stride);
+        }
+        self.max_abs_m = self.max_abs_m.max((m as i64).abs());
+    }
+
+    /// The columns of the slab `[x0, x1)` whose bins cannot hold a
+    /// particle that left the slab through an x-edge, `age` sweeps after
+    /// the last rebin: a particle binned in column `c` now sits at most
+    /// `reach_left · age` columns left or `reach_right · age` columns
+    /// right of `c`, so only bins within that distance of an edge can
+    /// hold a leaver.
+    fn interior(&self, (x0, x1): (usize, usize), age: u32) -> Range<usize> {
+        let age = age as usize;
+        let lo = x0
+            .saturating_add(self.reach_left.saturating_mul(age))
+            .min(x1);
+        let hi = x1
+            .saturating_sub(self.reach_right.saturating_mul(age))
+            .max(lo);
+        lo..hi
+    }
+
+    /// The drain window of a store binned over the tile `cols × rows` of
+    /// an `ncells` grid, `age` sweeps after its last rebin: the predicate
+    /// on a bin's global column that says whether the bin may hold a
+    /// leaver. That is every bin when particles change rows and the tile
+    /// has a y-edge (a row leaver can sit in any column), and otherwise
+    /// the bins outside `[x0 + reach_left · age, x1 − reach_right · age)`.
+    pub fn drain_window(
+        &self,
+        cols: (usize, usize),
+        rows: (usize, usize),
+        ncells: usize,
+        age: u32,
+    ) -> impl Fn(usize) -> bool {
+        let rows_crossable = self.max_abs_m > 0 && rows != (0, ncells);
+        let interior = self.interior(cols, age);
+        move |c| rows_crossable || !interior.contains(&c)
     }
 }
 
@@ -314,9 +233,7 @@ where
         }
     }
     std::mem::swap(particles, &mut bufs.kept);
-
-    let handle = bufs.start_wire(comm);
-    let received = bufs.finish_arrivals(comm, handle, |p| particles.push(p));
+    let received = bufs.exchange(comm, |p| particles.push(p));
     (sent, received)
 }
 
@@ -336,43 +253,14 @@ pub fn route_binned_with<F>(
 where
     F: Fn(usize, usize) -> usize,
 {
-    let inflight = route_binned_start(comm, my_rank, owner, |_| true, store, grid, bufs);
-    let sent = inflight.sent;
-    let received = route_binned_finish(comm, inflight, store, bufs);
-    (sent, received)
+    route_binned_cols_with(comm, my_rank, owner, |_| true, store, grid, bufs)
 }
 
-/// An exchange whose sends are posted but whose receives have not been
-/// completed — the split between [`route_binned_start`] and
-/// [`route_binned_finish`]. Dropping it without finishing strands the
-/// matching receives on every peer.
-#[must_use = "a started exchange must be completed with route_binned_finish"]
-pub struct ExchangeInFlight {
-    handle: AlltoallvHandle,
-    /// Particles this rank handed to other ranks at the start.
-    pub sent: usize,
-}
-
-impl ExchangeInFlight {
-    /// Did the sparse protocol fall back to the dense pattern because some
-    /// rank had a payload for a non-neighbor?
-    pub fn escaped(&self) -> bool {
-        self.handle.escaped()
-    }
-}
-
-/// First half of the split-phase binned exchange: drain the leavers of the
-/// bins whose **global column** satisfies `active` (plus the tail region,
-/// which is always tested), stage them per destination, and post all sends.
-/// The overlapped rank step passes the border-column predicate here, then
-/// advances the interior while the messages are in flight, and calls
-/// [`route_binned_finish`] afterwards. Passing `|_| true` drains everything
-/// — the synchronous pattern.
-///
-/// The caller guarantees inactive columns hold no leavers; for a store
-/// swept with per-step column stride `s`, that is exactly the bins within
-/// [`BinnedStore::border_width`]`(s)` of a subdomain edge.
-pub fn route_binned_start<F>(
+/// [`route_binned_with`] draining only the bins whose **global column**
+/// satisfies `active` (plus the tail region, which is always tested) —
+/// the per-step exchange passes a [`DriftReach::drain_window`] here. The
+/// caller guarantees inactive columns hold no leavers.
+pub(crate) fn route_binned_cols_with<F>(
     comm: &Communicator,
     my_rank: usize,
     owner: F,
@@ -380,7 +268,7 @@ pub fn route_binned_start<F>(
     store: &mut BinnedStore,
     grid: &Grid,
     bufs: &mut ExchangeBuffers,
-) -> ExchangeInFlight
+) -> (usize, usize)
 where
     F: Fn(usize, usize) -> usize,
 {
@@ -399,21 +287,8 @@ where
             outgoing[dst].push(p);
         },
     );
-    let handle = bufs.start_wire(comm);
-    ExchangeInFlight { handle, sent }
-}
-
-/// Second half of the split-phase binned exchange: complete the receives
-/// and append every arrival to the store's tail region (in source-rank
-/// order, so the result is identical to the synchronous exchange). Returns
-/// the number of particles received.
-pub fn route_binned_finish(
-    comm: &Communicator,
-    inflight: ExchangeInFlight,
-    store: &mut BinnedStore,
-    bufs: &mut ExchangeBuffers,
-) -> usize {
-    bufs.finish_arrivals(comm, inflight.handle, |p| store.push_tail(p))
+    let received = bufs.exchange(comm, |p| store.push_tail(p));
+    (sent, received)
 }
 
 /// [`route_binned_with`] under the Cartesian decomposition — the binned
@@ -538,152 +413,6 @@ mod tests {
     }
 
     #[test]
-    fn sparse_escape_rehomes_strided_misassignment() {
-        // Strided mis-assignment scatters particles across *non-adjacent*
-        // ranks of a 4-column world (neighbor stencil = {left, right}), so
-        // the very first sparse exchange must raise the escape flag and
-        // fall back to the dense pattern — and still deliver everything.
-        let (grid, all) = setup(200);
-        let decomp = Decomp2d::columns(16, 4);
-        let totals = run_threads(4, |comm| {
-            let rank = comm.rank();
-            let mut mine: Vec<Particle> = all
-                .iter()
-                .filter(|p| (p.id as usize) % 4 == rank)
-                .copied()
-                .collect();
-            let d = decomp.clone();
-            let mut bufs = ExchangeBuffers::new();
-            bufs.enable_sparse(4, rank, d.neighbors_of(rank));
-            rehome_particles_with(&comm, &d, &grid, rank, &mut mine, &mut bufs);
-            for p in &mine {
-                let (c, r) = grid.cell_of_point(p.x, p.y);
-                assert_eq!(d.owner_of_cell(c, r), rank);
-            }
-            // Once settled, a second pass stays on the sparse path and
-            // sends no payloads at all.
-            bufs.take_message_counts();
-            rehome_particles_with(&comm, &d, &grid, rank, &mut mine, &mut bufs);
-            let (sent_msgs, skipped) = bufs.take_message_counts();
-            assert_eq!(sent_msgs, 0, "settled world must skip every payload");
-            assert_eq!(skipped, 4);
-            (mine.len(), mine.iter().map(|p| p.id as u128).sum::<u128>())
-        });
-        let total: usize = totals.iter().map(|t| t.0).sum();
-        let idsum: u128 = totals.iter().map(|t| t.1).sum();
-        assert_eq!(total, 200);
-        assert_eq!(idsum, 200u128 * 201 / 2, "no particle lost or duplicated");
-    }
-
-    #[test]
-    fn sparse_binned_route_matches_dense_oracle() {
-        // The sparse neighbor path must be bit-identical to the dense
-        // synchronous exchange over a multi-step binned run — and must
-        // actually elide messages while doing so.
-        use pic_core::charge::SimConstants;
-        let (grid, all) = setup(400);
-        let decomp = Decomp2d::columns(16, 4);
-        let consts = SimConstants::CANONICAL;
-        let steps = 12;
-        let run = |sparse: bool| {
-            run_threads(4, |comm| {
-                let rank = comm.rank();
-                let mine = local_slice(&decomp, &grid, rank, &all);
-                let ((x0, x1), _) = decomp.bounds(rank);
-                let mut store = BinnedStore::new_subdomain(&mine, &grid, 3, x0, x1);
-                let mut bufs = ExchangeBuffers::new();
-                if sparse {
-                    bufs.enable_sparse(4, rank, decomp.neighbors_of(rank));
-                }
-                for _ in 0..steps {
-                    store.sweep_local(&grid, &consts, None);
-                    rehome_binned_with(&comm, &decomp, &grid, rank, &mut store, &mut bufs);
-                    if store.rebin_due() {
-                        store.rebin(&grid);
-                    }
-                }
-                let (sent_msgs, skipped) = bufs.take_message_counts();
-                (store.to_particles(), sent_msgs, skipped)
-            })
-        };
-        let dense = run(false);
-        let sparse = run(true);
-        let flat = |rs: &[(Vec<Particle>, u64, u64)]| {
-            let mut v: Vec<Particle> = rs.iter().flat_map(|r| r.0.clone()).collect();
-            v.sort_unstable_by_key(|p| p.id);
-            v
-        };
-        assert_eq!(flat(&dense), flat(&sparse), "sparse diverged from dense");
-        let dense_msgs: u64 = dense.iter().map(|r| r.1).sum();
-        let sparse_msgs: u64 = sparse.iter().map(|r| r.1).sum();
-        let skipped: u64 = sparse.iter().map(|r| r.2).sum();
-        assert_eq!(dense_msgs, 4 * 4 * steps, "dense sends P per rank per step");
-        assert!(sparse_msgs < dense_msgs, "sparse must elide messages");
-        assert_eq!(sparse_msgs + skipped, dense_msgs, "counters must partition");
-    }
-
-    #[test]
-    fn split_phase_start_finish_matches_synchronous() {
-        // Split the exchange around an (empty) compute window and restrict
-        // the drain to border columns — the tail and border bins still
-        // deliver every leaver, matching the synchronous full drain.
-        use pic_core::charge::SimConstants;
-        let (grid, all) = setup(300);
-        let decomp = Decomp2d::columns(16, 4);
-        let consts = SimConstants::CANONICAL;
-        let steps = 10;
-        let stride = 1; // k = 0 population
-        let run = |split: bool| {
-            run_threads(4, |comm| {
-                let rank = comm.rank();
-                let mine = local_slice(&decomp, &grid, rank, &all);
-                let ((x0, x1), _) = decomp.bounds(rank);
-                let mut store = BinnedStore::new_subdomain(&mine, &grid, 3, x0, x1);
-                let mut bufs = ExchangeBuffers::new();
-                bufs.enable_sparse(4, rank, decomp.neighbors_of(rank));
-                for _ in 0..steps {
-                    if split {
-                        store.prepare_sweep(&grid);
-                        let w = store.border_width(stride);
-                        let b_lo = (x0 + w).min(x1);
-                        let b_hi = x1.saturating_sub(w).max(b_lo);
-                        store.sweep_cols(&grid, &consts, None, x0..b_lo);
-                        store.sweep_cols(&grid, &consts, None, b_hi..x1);
-                        store.sweep_tail_pass(&grid, &consts, None);
-                        let inflight = route_binned_start(
-                            &comm,
-                            rank,
-                            |c, r| decomp.owner_of_cell(c, r),
-                            |c| !(b_lo..b_hi).contains(&c),
-                            &mut store,
-                            &grid,
-                            &mut bufs,
-                        );
-                        store.sweep_cols(&grid, &consts, None, b_lo..b_hi);
-                        route_binned_finish(&comm, inflight, &mut store, &mut bufs);
-                        store.end_sweep();
-                    } else {
-                        store.sweep_local(&grid, &consts, None);
-                        rehome_binned_with(&comm, &decomp, &grid, rank, &mut store, &mut bufs);
-                    }
-                    if store.rebin_due() {
-                        store.rebin(&grid);
-                    }
-                }
-                store.to_particles()
-            })
-        };
-        let sync = run(false);
-        let split = run(true);
-        let flat = |rs: &[Vec<Particle>]| {
-            let mut v: Vec<Particle> = rs.concat();
-            v.sort_unstable_by_key(|p| p.id);
-            v
-        };
-        assert_eq!(flat(&sync), flat(&split), "split-phase diverged");
-    }
-
-    #[test]
     fn reused_buffers_match_fresh_allocation_routing() {
         // Route the same mis-assigned population twice per rank through one
         // ExchangeBuffers — the second pass (warm buffers) must behave
@@ -770,5 +499,86 @@ mod tests {
             before
         });
         assert_eq!(counts.iter().sum::<usize>(), 100);
+    }
+
+    #[test]
+    fn drift_reach_covers_population_and_injections() {
+        use pic_core::events::{Event, Region};
+        let grid = Grid::new(16).unwrap();
+        let setup = InitConfig::new(grid, 50, Distribution::Uniform)
+            .with_k(1)
+            .build()
+            .unwrap()
+            .with_event(Event::inject(3, Region::whole(16), 10, 0, -2, -1));
+        let reach = DriftReach::of_setup(&setup);
+        assert_eq!(
+            reach,
+            DriftReach {
+                reach_left: 1,
+                reach_right: 3,
+                max_abs_m: 2,
+            }
+        );
+        // Crossable rows drain every bin; a full-height tile only its
+        // x-edge bins.
+        let all_rows = reach.drain_window((4, 12), (0, 8), 16, 1);
+        assert!((4..12).all(&all_rows));
+        let edges = reach.drain_window((4, 12), (0, 16), 16, 1);
+        let drained: Vec<usize> = (4..12).filter(|&c| edges(c)).collect();
+        assert_eq!(drained, vec![4, 9, 10, 11]);
+    }
+
+    /// The drain window is exact: after every sweep since the last rebin,
+    /// draining only its bins leaves no leaver behind, and shrinking it by
+    /// one column on either side does.
+    #[test]
+    fn drift_reach_window_is_sound_and_tight() {
+        use pic_core::charge::SimConstants;
+        let grid = Grid::new(64).unwrap();
+        let consts = SimConstants::CANONICAL;
+        let drifters = |k: u32, dir: i8| {
+            InitConfig::new(grid, 8_000, Distribution::Uniform)
+                .with_k(k)
+                .with_dir(dir)
+                .build()
+                .unwrap()
+                .particles
+        };
+        let (x0, x1) = (16, 48);
+        let mut ps = drifters(1, 1);
+        ps.extend(drifters(0, -1));
+        ps.retain(|p| (x0..x1).contains(&grid.cell_of(p.x)));
+        let reach = DriftReach {
+            reach_left: 1,
+            reach_right: 3,
+            max_abs_m: 0,
+        };
+        let mut store = BinnedStore::new_subdomain(&ps, &grid, 64, x0, x1);
+        let inside = |c: usize, _: usize| (x0..x1).contains(&c);
+        // Leavers a drain with `active` misses: a full drain finds them.
+        let missed = |store: &BinnedStore, active: &dyn Fn(usize) -> bool| {
+            let mut s = store.clone();
+            s.drain_leavers_cols_into(&grid, active, inside, |_| {});
+            s.drain_leavers_into(&grid, inside, |_| {})
+        };
+        for age in 1..=4u32 {
+            store.sweep_local(&grid, &consts, None);
+            assert_eq!(store.age(), age);
+            let window = reach.drain_window((x0, x1), (0, 64), 64, age);
+            let interior = reach.interior((x0, x1), age);
+            let (lo, hi) = (interior.start, interior.end);
+            assert_eq!(missed(&store, &window), 0, "age {age}: window unsound");
+            let shrunk_left = |c: usize| !(lo - 1..hi).contains(&c);
+            let shrunk_right = |c: usize| !(lo..hi + 1).contains(&c);
+            assert!(
+                missed(&store, &shrunk_left) > 0,
+                "age {age}: left edge not tight"
+            );
+            assert!(
+                missed(&store, &shrunk_right) > 0,
+                "age {age}: right edge not tight"
+            );
+            store.drain_leavers_cols_into(&grid, window, inside, |_| {});
+        }
     }
 }

@@ -38,4 +38,4 @@ pub use baseline::run_baseline;
 pub use decomp::Decomp2d;
 pub use diffusion::{run_diffusion, run_diffusion_mode, DiffusionMode, DiffusionParams};
 pub use model_impl::{model_baseline, model_diffusion, ModelConfig, ModelOutcome};
-pub use runner::{ExchangeMode, ParConfig, ParOutcome, WireFormat};
+pub use runner::{ParConfig, ParOutcome};

@@ -2,10 +2,9 @@
 //! event application, and distributed verification.
 
 use crate::decomp::Decomp2d;
-pub use crate::exchange::WireFormat;
 use crate::exchange::{
-    local_slice, rehome_binned_with, rehome_particles_with, route_binned_finish,
-    route_binned_start, ExchangeBuffers,
+    local_slice, rehome_binned_with, rehome_particles_with, route_binned_cols_with, DriftReach,
+    ExchangeBuffers,
 };
 use pic_comm::collective::{
     allgatherv, allreduce_f64, allreduce_u128, allreduce_u64, allreduce_vec_u64,
@@ -37,62 +36,6 @@ pub enum RankPath {
     Binned,
 }
 
-/// How the per-step exchange routes particle payloads between ranks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExchangeMode {
-    /// Dense synchronous all-to-all after the full sweep: every rank sends
-    /// `P` payloads (most of them empty markers) and blocks until all are
-    /// received. Kept selectable as the equivalence oracle.
-    DenseSync,
-    /// Sparse neighbor-aware exchange (counts to the Cartesian 8-stencil,
-    /// payloads only where non-empty, global escape flag for fast
-    /// particles), split-phase overlapped with the interior sweep whenever
-    /// the decomposition permits (`py == 1`, or no vertical motion at
-    /// all); sparse-but-synchronous otherwise. Bit-identical results to
-    /// [`ExchangeMode::DenseSync`].
-    #[default]
-    OverlappedSparse,
-    /// Decide per run from the world size and the declared neighbor
-    /// density (see [`ExchangeMode::resolve`]): the sparse protocol pays a
-    /// fixed per-step overhead (escape dissemination plus per-neighbor
-    /// count wires) that only amortizes when it elides enough payload
-    /// messages — at small world sizes the dense oracle is measurably
-    /// faster (`BENCH_par.json` `comm` rows). Resolved to one of the two
-    /// concrete modes before the first step.
-    Auto,
-}
-
-impl ExchangeMode {
-    /// Resolve [`ExchangeMode::Auto`] against a concrete topology; the
-    /// concrete modes return themselves.
-    ///
-    /// The model behind the crossover: per step, dense sends `P − 1`
-    /// wire messages; sparse sends `⌈log₂P⌉` escape-flag messages plus
-    /// `degree` count messages plus the non-empty payloads, and elides up
-    /// to `P − 1 − degree` empty-marker messages. Sparse wins when the
-    /// elided messages exceed the protocol overhead:
-    /// `P − 1 − degree > ⌈log₂P⌉ + degree`. The `bench_comm` crossover
-    /// table (results/par_scaling.md) confirms the break-even on a ring
-    /// topology sits between P=8 and P=16 — dense is faster at P≤8,
-    /// sparse from P=16 up — matching this inequality (ties go dense).
-    pub fn resolve(self, world_size: usize, neighbor_degree: usize) -> ExchangeMode {
-        match self {
-            ExchangeMode::Auto => {
-                let elided = world_size.saturating_sub(1 + neighbor_degree);
-                let overhead = (usize::BITS - world_size.next_power_of_two().leading_zeros() - 1)
-                    as usize
-                    + neighbor_degree;
-                if elided > overhead {
-                    ExchangeMode::OverlappedSparse
-                } else {
-                    ExchangeMode::DenseSync
-                }
-            }
-            concrete => concrete,
-        }
-    }
-}
-
 /// Rank-loop kernel selection, threaded from the CLI's `--sweep`/`--rebin`
 /// into every distributed implementation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,12 +47,6 @@ pub struct RankKernel {
     pub backend: Option<SimdBackend>,
     /// Sweeps between counting sorts (binned path).
     pub rebin_interval: u32,
-    /// Exchange routing (default: overlapped sparse; dense synchronous is
-    /// the oracle escape hatch).
-    pub exchange: ExchangeMode,
-    /// Wire representation for particle payloads (default: typed
-    /// zero-copy; the byte wire is the serialization oracle).
-    pub wire: WireFormat,
 }
 
 impl Default for RankKernel {
@@ -119,8 +56,6 @@ impl Default for RankKernel {
             tier: KernelTier::Exact,
             backend: None,
             rebin_interval: DEFAULT_REBIN,
-            exchange: ExchangeMode::OverlappedSparse,
-            wire: WireFormat::Typed,
         }
     }
 }
@@ -160,16 +95,6 @@ impl RankKernel {
 
     pub fn with_backend(mut self, backend: SimdBackend) -> RankKernel {
         self.backend = Some(backend);
-        self
-    }
-
-    pub fn with_exchange(mut self, exchange: ExchangeMode) -> RankKernel {
-        self.exchange = exchange;
-        self
-    }
-
-    pub fn with_wire(mut self, wire: WireFormat) -> RankKernel {
-        self.wire = wire;
         self
     }
 }
@@ -280,6 +205,15 @@ impl RankStore {
         self.len() == 0
     }
 
+    /// Lifetime counting sorts of the binned store, its construction sort
+    /// included (0 for AoS).
+    pub fn rebin_count(&self) -> u64 {
+        match self {
+            RankStore::Aos(_) => 0,
+            RankStore::Binned(b) => b.rebin_count(),
+        }
+    }
+
     /// Materialize the particles in storage order (allocates; outcome
     /// path).
     pub fn to_particles(&self) -> Vec<Particle> {
@@ -373,15 +307,13 @@ pub struct RankState {
     bufs: ExchangeBuffers,
     /// Reused per-axis count scratch for the diffusion balancer.
     lb_scratch: Vec<u64>,
-    /// Exchange routing mode (from the rank kernel).
-    exchange: ExchangeMode,
-    /// Per-step column stride bound: `2·k_max + 1` over the initial
-    /// population and every injection event — no particle can hop more
-    /// columns than this in one sweep (the analytic motion contract).
-    stride_x: usize,
-    /// Largest `|m|` over the population and injections: the exact
-    /// per-step row hop. Zero means no particle ever crosses a row.
-    max_abs_m: i64,
+    /// Per-step drift bounds over the population and every injection:
+    /// they size the per-step drain window.
+    reach: DriftReach,
+    /// The store's rebin count as of the last `rebins` counter report.
+    /// Rebins that run outside the step (a balance round's re-anchor)
+    /// are reported with the next step.
+    rebins_reported: u64,
 }
 
 impl RankState {
@@ -404,14 +336,7 @@ impl RankState {
         let (cols, rows) = decomp.bounds(rank);
         let charges = ChargeGrid::build(&setup.grid, &setup.consts, cols, rows);
         let store = RankStore::build(particles, &setup.grid, kernel, cols);
-        let (stride_x, max_abs_m) = motion_bounds(setup);
-        let mut bufs = ExchangeBuffers::new();
-        bufs.set_wire_format(kernel.wire);
-        let neighbors = decomp.neighbors_of(rank);
-        let exchange = kernel.exchange.resolve(decomp.ranks(), neighbors.len());
-        if exchange == ExchangeMode::OverlappedSparse {
-            bufs.enable_sparse(decomp.ranks(), rank, neighbors);
-        }
+        let rebins_reported = store.rebin_count();
         RankState {
             grid: setup.grid,
             consts: setup.consts,
@@ -424,11 +349,10 @@ impl RankState {
             next_event: 0,
             expected_id_sum: setup.initial_id_sum(),
             next_id: setup.next_id,
-            bufs,
+            bufs: ExchangeBuffers::new(),
             lb_scratch: Vec::new(),
-            exchange,
-            stride_x,
-            max_abs_m,
+            reach: DriftReach::of_setup(setup),
+            rebins_reported,
         }
     }
 
@@ -550,135 +474,83 @@ impl RankState {
         self.step_traced(comm, &mut Tracer::disabled());
     }
 
-    /// Can this step run the overlapped border/interior split? The split
-    /// is column-based, so it only catches leavers through the x-cuts: it
-    /// is sound when the rank rows cannot be crossed at all — a single
-    /// processor row, or a population with no vertical motion. Otherwise
-    /// the step falls back to the sparse-but-synchronous exchange (the
-    /// full drain catches row leavers from any column).
-    fn overlap_ready(&self) -> bool {
-        self.exchange == ExchangeMode::OverlappedSparse
-            && matches!(self.store, RankStore::Binned(_))
-            && (self.decomp.py == 1 || self.max_abs_m == 0)
-    }
-
     /// [`RankState::step`] with telemetry: the advance loop is timed as
-    /// the `advance` phase, rehoming as `exchange` (interleaved when the
-    /// overlapped path runs). Returns the number of particles this rank
-    /// sent away (feeds the `rehomed` counter, which is globally summed
-    /// at traced steps by [`snapshot_loads`]).
+    /// the `advance` phase, rehoming and the amortized rebin as
+    /// `exchange`. Returns the number of particles this rank sent away
+    /// (feeds the `rehomed` counter, which is globally summed at traced
+    /// steps by [`snapshot_loads`]).
     pub fn step_traced(&mut self, comm: &Communicator, tracer: &mut Tracer) -> usize {
         self.apply_due_events(comm);
-        let rebins_before = match &self.store {
-            RankStore::Binned(b) => b.rebin_count(),
-            RankStore::Aos(_) => 0,
-        };
-        let sent = if self.overlap_ready() {
-            self.step_overlapped(comm, tracer)
-        } else {
-            tracer.phase_start(Phase::Advance);
-            match &mut self.store {
-                RankStore::Aos(particles) => {
-                    for p in particles.iter_mut() {
-                        let (ax, ay) =
-                            self.charges
-                                .total_force(&self.grid, &self.consts, p.x, p.y, p.q);
-                        advance_with_acceleration(&self.grid, &self.consts, p, ax, ay);
-                    }
-                }
-                // The serial engine's kernel stack, serial on this rank's
-                // own thread (each rank is already a parallel unit), forces
-                // read from the ghost-ringed charge subgrid.
-                RankStore::Binned(b) => {
-                    b.sweep_local(&self.grid, &self.consts, Some(&self.charges))
+        tracer.phase_start(Phase::Advance);
+        match &mut self.store {
+            RankStore::Aos(particles) => {
+                for p in particles.iter_mut() {
+                    let (ax, ay) =
+                        self.charges
+                            .total_force(&self.grid, &self.consts, p.x, p.y, p.q);
+                    advance_with_acceleration(&self.grid, &self.consts, p, ax, ay);
                 }
             }
-            tracer.phase_end(Phase::Advance);
-            tracer.phase_start(Phase::Exchange);
-            let (sent, _received) = self.rehome(comm);
-            tracer.phase_end(Phase::Exchange);
-            sent
-        };
+            // The serial engine's kernel stack, serial on this rank's own
+            // thread (each rank is already a parallel unit), forces read
+            // from the ghost-ringed charge subgrid.
+            RankStore::Binned(b) => b.sweep_local(&self.grid, &self.consts, Some(&self.charges)),
+        }
+        tracer.phase_end(Phase::Advance);
+        tracer.phase_start(Phase::Exchange);
+        let sent = self.exchange_leavers(comm);
         // The amortized rebin runs *after* the exchange so the counting
         // sort only ever sees homed particles (arrivals fold in from the
         // tail; column range is exactly the subdomain).
-        tracer.phase_start(Phase::Exchange);
         if let RankStore::Binned(b) = &mut self.store {
             if b.rebin_due() {
                 b.rebin(&self.grid);
             }
-            tracer.add(Counter::Rebins, b.rebin_count() - rebins_before);
         }
+        let rebins = self.store.rebin_count();
+        tracer.add(Counter::Rebins, rebins - self.rebins_reported);
+        self.rebins_reported = rebins;
         tracer.phase_end(Phase::Exchange);
         self.step += 1;
         sent
     }
 
-    /// The overlapped step (paper-faithful split-phase exchange): advance
-    /// the *border* columns first, launch the exchange for their leavers,
-    /// advance the *interior* while the messages are in flight, then
-    /// complete the receives into the tail. Bit-identical to the
-    /// synchronous step: bins run the same tier kernel at the same age
-    /// parity against the same fixed per-step mesh regardless of the
-    /// column partition, the stable drain visits leavers in the same
-    /// order (interior bins cannot produce leavers — that is what
-    /// [`BinnedStore::border_width`] guarantees), and arrivals append in
-    /// source-rank order either way.
-    fn step_overlapped(&mut self, comm: &Communicator, tracer: &mut Tracer) -> usize {
+    /// The per-step exchange: route the particles that left this rank's
+    /// subdomain in the sweep just run. A binned store drains only its
+    /// [`DriftReach::drain_window`] bins plus the tail. Returns the
+    /// number of particles sent.
+    fn exchange_leavers(&mut self, comm: &Communicator) -> usize {
         let RankStore::Binned(b) = &mut self.store else {
-            unreachable!("overlap_ready checked the store path");
+            return self.rehome(comm).0;
         };
-        tracer.phase_start(Phase::Advance);
-        b.prepare_sweep(&self.grid);
-        let ((x0, x1), _) = self.decomp.bounds(self.rank);
-        // Bin-space border: particles drift from their bin column between
-        // rebins, so the border widens with the store's age.
-        let w = b.border_width(self.stride_x);
-        let b_lo = (x0 + w).min(x1);
-        let b_hi = x1.saturating_sub(w).max(b_lo);
-        b.sweep_cols(&self.grid, &self.consts, Some(&self.charges), x0..b_lo);
-        b.sweep_cols(&self.grid, &self.consts, Some(&self.charges), b_hi..x1);
-        b.sweep_tail_pass(&self.grid, &self.consts, Some(&self.charges));
-        tracer.phase_end(Phase::Advance);
-
-        tracer.phase_start(Phase::Exchange);
+        let (cols, rows) = self.decomp.bounds(self.rank);
+        let window = self
+            .reach
+            .drain_window(cols, rows, self.grid.ncells(), b.age());
         let decomp = &self.decomp;
-        let inflight = route_binned_start(
+        let (sent, _received) = route_binned_cols_with(
             comm,
             self.rank,
             |c, r| decomp.owner_of_cell(c, r),
-            |c| !(b_lo..b_hi).contains(&c),
+            window,
             b,
             &self.grid,
             &mut self.bufs,
         );
-        let sent = inflight.sent;
-        tracer.phase_end(Phase::Exchange);
-
-        tracer.phase_start(Phase::Advance);
-        let window_start = std::time::Instant::now();
-        b.sweep_cols(&self.grid, &self.consts, Some(&self.charges), b_lo..b_hi);
-        let overlap_ns = window_start.elapsed().as_nanos() as u64;
-        tracer.phase_end(Phase::Advance);
-
-        tracer.phase_start(Phase::Exchange);
-        route_binned_finish(comm, inflight, b, &mut self.bufs);
-        b.end_sweep();
-        tracer.add(Counter::OverlapNs, overlap_ns);
-        tracer.phase_end(Phase::Exchange);
         sent
     }
 
-    /// Drain the `(sent, skipped)` wire-message counters accumulated by
-    /// this rank's exchanges since the previous take (see
+    /// Drain the wire-message count accumulated by this rank's exchanges
+    /// since the previous take (see
     /// [`ExchangeBuffers::take_message_counts`]).
-    pub fn take_message_counts(&mut self) -> (u64, u64) {
+    pub fn take_message_counts(&mut self) -> u64 {
         self.bufs.take_message_counts()
     }
 
     /// Route every mis-homed particle to its owner, reusing this rank's
     /// staging buffers (steady-state: no staging allocation). The binned
-    /// store drains leavers in place — no AoS round-trip.
+    /// store drains leavers in place — no AoS round-trip — testing every
+    /// bin, because after a cut move a leaver can sit in any column.
     pub fn rehome(&mut self, comm: &Communicator) -> (usize, usize) {
         match &mut self.store {
             RankStore::Aos(particles) => rehome_particles_with(
@@ -809,10 +681,9 @@ pub fn trace_interval(comm: &Communicator, tracer: &Tracer) -> u64 {
 }
 
 /// Collective telemetry snapshot at a traced step: the per-rank load
-/// vector plus three windowed scalars (particles rehomed, wire messages
-/// sent, wire messages elided by the sparse protocol) merged into a
-/// single `(size + 3)`-slot vector allreduce. Feeds the tracer's load
-/// statistics and the `rehomed` / `msgs_sent` / `msgs_skipped` /
+/// vector plus two windowed scalars (particles rehomed, wire messages
+/// sent) merged into a single `(size + 2)`-slot vector allreduce. Feeds
+/// the tracer's load statistics and the `rehomed` / `msgs_sent` /
 /// `collective_bytes` counters; returns the global particle count. Must
 /// be called by every rank at the same step.
 pub fn snapshot_loads(
@@ -820,44 +691,20 @@ pub fn snapshot_loads(
     tracer: &mut Tracer,
     local_count: u64,
     sent_window: u64,
-    msgs_window: (u64, u64),
+    msgs_window: u64,
 ) -> u64 {
     let n = comm.size();
-    let mut slots = vec![0u64; n + 3];
+    let mut slots = vec![0u64; n + 2];
     slots[comm.rank()] = local_count;
     slots[n] = sent_window;
-    slots[n + 1] = msgs_window.0;
-    slots[n + 2] = msgs_window.1;
+    slots[n + 1] = msgs_window;
     let counts = allreduce_vec_u64(comm, &slots, ReduceOp::Sum);
     tracer.add(Counter::Rehomed, counts[n]);
     tracer.add(Counter::MsgsSent, counts[n + 1]);
-    tracer.add(Counter::MsgsSkipped, counts[n + 2]);
     tracer.add(Counter::CollectiveBytes, slots.len() as u64 * 8);
     let loads: Vec<f64> = counts[..n].iter().map(|&c| c as f64).collect();
     tracer.record_loads(&loads);
     counts[..n].iter().sum()
-}
-
-/// Bounds on per-step motion over the whole simulation (initial
-/// population plus every scheduled injection): the maximum x-stride
-/// `2·k + 1` and the largest per-step row displacement `|m|`. Both are
-/// exact analytic contracts of the kernel (see
-/// [`Particle::cells_per_step_x`] / `cells_per_step_y`), so the border
-/// width computed from the stride is a guarantee, not a heuristic.
-fn motion_bounds(setup: &SimulationSetup) -> (usize, i64) {
-    let mut max_k = 0u32;
-    let mut max_m = 0i64;
-    for p in &setup.particles {
-        max_k = max_k.max(p.k);
-        max_m = max_m.max((p.m as i64).abs());
-    }
-    for e in &setup.events {
-        if let EventKind::Inject { k, m, .. } = e.kind {
-            max_k = max_k.max(k);
-            max_m = max_m.max((m as i64).abs());
-        }
-    }
-    (2 * max_k as usize + 1, max_m)
 }
 
 /// Globally merge per-rank failing-id diagnostics: allgather, sort, dedup,
@@ -881,30 +728,6 @@ mod tests {
     use pic_core::events::Region;
     use pic_core::init::InitConfig;
     use pic_core::verify::triangular_id_sum;
-
-    #[test]
-    fn auto_exchange_resolves_from_topology() {
-        use ExchangeMode::{Auto, DenseSync, OverlappedSparse};
-        // Concrete modes pass through untouched, whatever the topology.
-        assert_eq!(DenseSync.resolve(64, 8), DenseSync);
-        assert_eq!(OverlappedSparse.resolve(2, 1), OverlappedSparse);
-        // 8-stencil decompositions: a 1×P row of columns has degree 2
-        // (left/right wrap). P−1−2 elided vs ⌈log₂P⌉+2 overhead:
-        // dense through P=8 (5 elided vs 5 overhead — tie goes dense),
-        // sparse from P=16 (13 vs 6). Matches the bench_comm crossover.
-        assert_eq!(Auto.resolve(2, 1), DenseSync);
-        assert_eq!(Auto.resolve(4, 2), DenseSync);
-        assert_eq!(Auto.resolve(8, 2), DenseSync);
-        assert_eq!(Auto.resolve(16, 2), OverlappedSparse);
-        assert_eq!(Auto.resolve(64, 2), OverlappedSparse);
-        // Square 2-D decompositions keep degree 8; still sparse at scale.
-        assert_eq!(Auto.resolve(16, 8), DenseSync);
-        assert_eq!(Auto.resolve(64, 8), OverlappedSparse);
-        // All-pairs neighborhoods (the AMPI VP router) can never elide
-        // a message: always dense.
-        assert_eq!(Auto.resolve(64, 63), DenseSync);
-        assert_eq!(Auto.resolve(1, 0), DenseSync);
-    }
 
     #[test]
     fn rank_states_partition_the_population() {

@@ -17,13 +17,15 @@
 //!   `overlap_ns` counter).
 //!
 //! The matrix covers the paper's skewed and uniform distributions, rank
-//! counts {1, 2, 4}, balancing intervals {1, 5}, and both the x-only and
-//! two-phase diffusion modes. A final case pins the adaptive balancer's
+//! counts {1, 2, 4}, balancing intervals {1, 2, 5}, both the x-only and
+//! two-phase diffusion modes, and leftward and mixed-speed drift with
+//! mid-run events. A final case pins the adaptive balancer's
 //! replicated determinism: all ranks must compute the identical switch
 //! sequence without any extra collectives.
 
 use pic_comm::world::run_threads;
 use pic_core::dist::Distribution;
+use pic_core::events::{Event, Region};
 use pic_core::geometry::Grid;
 use pic_core::init::InitConfig;
 use pic_par::baseline::run_baseline_traced;
@@ -340,7 +342,7 @@ fn baseline_matches_pre_refactor_loop() {
 fn diffusion_xonly_matches_pre_refactor_loop() {
     for dist in DISTS {
         for ranks in [1usize, 2, 4] {
-            for interval in [1u32, 5] {
+            for interval in [1u32, 2, 5] {
                 let params = DiffusionParams {
                     interval,
                     tau: 0,
@@ -390,6 +392,71 @@ fn diffusion_twophase_matches_pre_refactor_loop() {
                 },
             );
             assert_identical(&format!("diffusion-2p {dist:?} ranks={ranks}"), &new, &old);
+        }
+    }
+}
+
+#[test]
+fn drift_shapes_match_pre_refactor_loop() {
+    // Leftward drift, and a slow population joined by a fast leftward
+    // injection (plus a removal), with cuts moving every 2 steps.
+    let hot = Region {
+        x0: 0,
+        x1: 12,
+        y0: 0,
+        y1: 32,
+    };
+    let shapes = [
+        (
+            "left k=1 m=1",
+            1u32,
+            1i32,
+            -1i8,
+            Event::inject(5, hot, 80, 0, 1, -1),
+        ),
+        (
+            "fast injection",
+            0,
+            0,
+            1,
+            Event::inject(5, hot, 80, 3, 0, -1),
+        ),
+    ];
+    for (name, k, m, dir, inject) in shapes {
+        let setup = InitConfig::new(
+            Grid::new(32).unwrap(),
+            1200,
+            Distribution::Geometric { r: 0.85 },
+        )
+        .with_k(k)
+        .with_m(m)
+        .with_dir(dir)
+        .build()
+        .unwrap()
+        .with_event(inject)
+        .with_event(Event::remove(11, hot, 60));
+        let c = ParConfig::new(setup, 24);
+        for ranks in [1usize, 2, 4] {
+            let (new, old) = run_pair(&c, ranks, run_baseline_traced, oracle::run_baseline_traced);
+            assert_identical(&format!("baseline {name} ranks={ranks}"), &new, &old);
+            let params = DiffusionParams {
+                interval: 2,
+                tau: 0,
+                border_w: 2,
+            };
+            for mode in [DiffusionMode::XOnly, DiffusionMode::TwoPhase] {
+                let (new, old) = run_pair(
+                    &c,
+                    ranks,
+                    |comm, c, t| run_diffusion_mode_traced(comm, c, params, mode, t),
+                    |comm, c, t| oracle::run_diffusion_mode_traced(comm, c, params, mode, t),
+                );
+                assert_identical(
+                    &format!("diffusion {mode:?} {name} ranks={ranks}"),
+                    &new,
+                    &old,
+                );
+            }
         }
     }
 }

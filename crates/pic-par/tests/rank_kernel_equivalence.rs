@@ -11,6 +11,13 @@
 //!   the derived analytic bound (`verify::analytic_tolerance`), the same
 //!   gate the serial engine applies to its fast sweep.
 //!
+//! The AoS loop rehomes by testing every particle; the binned loop drains
+//! only the bins of its drift-reach window (DESIGN.md §14). The drift
+//! shapes below pin that window from every side: rightward and leftward
+//! drift, an injection faster than the initial population, row crossers
+//! at 4 ranks (a 2×2 grid, where every bin drains), and cut moves every
+//! 2 steps.
+//!
 //! The whole file also passes with `PIC_NO_SIMD=1` (CI runs it both
 //! ways): forcing scalar must change nothing for the exact tier.
 
@@ -24,19 +31,59 @@ use pic_core::simd::SimdBackend;
 use pic_core::verify::analytic_tolerance;
 use pic_par::baseline::run_baseline;
 use pic_par::diffusion::{run_diffusion, DiffusionParams};
-use pic_par::runner::{ExchangeMode, ParConfig, ParOutcome, RankKernel};
+use pic_par::runner::{ParConfig, ParOutcome, RankKernel};
 use proptest::prelude::*;
 
 const STEPS: u32 = 30;
 const N: u64 = 600;
 
-/// A setup that exercises every rank-loop phase: drift (k=1, m=1 ⇒ max
-/// stride 3), cross-cut exchange, and the event path (injection and
-/// removal mid-run).
-fn setup(dist: Distribution) -> SimulationSetup {
+/// A drift shape: the population's `(k, m, dir)` and the `(k, m, dir)`
+/// of a mid-run injection.
+#[derive(Debug, Clone, Copy)]
+struct Shape {
+    name: &'static str,
+    k: u32,
+    m: i32,
+    dir: i8,
+    inject: (u32, i32, i8),
+}
+
+const SHAPES: [Shape; 3] = [
+    // Rightward drift (max stride 3) with row crossers.
+    Shape {
+        name: "right k=1 m=1",
+        k: 1,
+        m: 1,
+        dir: 1,
+        inject: (0, 1, 1),
+    },
+    // Leftward drift, no row motion: only x-edge bins drain.
+    Shape {
+        name: "left k=1",
+        k: 1,
+        m: 0,
+        dir: -1,
+        inject: (0, 0, -1),
+    },
+    // A slow rightward population joined by a fast leftward injection:
+    // the window's left reach comes from the injection alone.
+    Shape {
+        name: "fast injection",
+        k: 0,
+        m: 0,
+        dir: 1,
+        inject: (3, 0, -1),
+    },
+];
+
+/// A setup that exercises every rank-loop phase: drift, cross-cut
+/// exchange, and the event path (injection and removal mid-run).
+fn setup(dist: Distribution, shape: Shape) -> SimulationSetup {
+    let (k, m, dir) = shape.inject;
     InitConfig::new(Grid::new(32).unwrap(), N, dist)
-        .with_k(1)
-        .with_m(1)
+        .with_k(shape.k)
+        .with_m(shape.m)
+        .with_dir(shape.dir)
         .build()
         .unwrap()
         .with_event(Event::inject(
@@ -48,9 +95,9 @@ fn setup(dist: Distribution) -> SimulationSetup {
                 y1: 12,
             },
             40,
-            0,
-            1,
-            1,
+            k,
+            m,
+            dir,
         ))
         .with_event(Event::remove(15, Region::whole(32), 25))
 }
@@ -86,20 +133,23 @@ fn bit_finals(outcomes: &[ParOutcome]) -> Vec<(u64, u64, u64, u64, u64)> {
     v
 }
 
-fn run_impl(
-    dist: Distribution,
+/// Run `setup` on `ranks` ranks: the static baseline when `lb_interval`
+/// is `None`, else the diffusion balancer moving cuts every
+/// `lb_interval` steps.
+fn run_setup(
+    setup: &SimulationSetup,
     ranks: usize,
-    diffusion: bool,
+    lb_interval: Option<u32>,
     kernel: RankKernel,
 ) -> Vec<ParOutcome> {
-    let cfg = ParConfig::new(setup(dist), STEPS).with_kernel(kernel);
+    let cfg = ParConfig::new(setup.clone(), STEPS).with_kernel(kernel);
     run_threads(ranks, |comm| {
-        let o = if diffusion {
+        let o = if let Some(interval) = lb_interval {
             run_diffusion(
                 &comm,
                 &cfg,
                 DiffusionParams {
-                    interval: 3,
+                    interval,
                     tau: 0,
                     border_w: 3,
                 },
@@ -112,115 +162,83 @@ fn run_impl(
     })
 }
 
+fn run_impl(
+    dist: Distribution,
+    ranks: usize,
+    diffusion: bool,
+    kernel: RankKernel,
+) -> Vec<ParOutcome> {
+    run_setup(
+        &setup(dist, SHAPES[0]),
+        ranks,
+        diffusion.then_some(3),
+        kernel,
+    )
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
+    #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// The tentpole contract: Binned/Exact ≡ AoS, bit for bit, across the
-    /// sampled cross product of distribution × rank count × rebin
-    /// interval × implementation × exchange mode. The AoS reference runs
-    /// the dense synchronous exchange (the oracle); the binned kernel must
-    /// match it under both the oracle and the overlapped sparse default.
+    /// sampled cross product of distribution × drift shape × rank count ×
+    /// rebin interval × implementation (static, or cuts moving every 2
+    /// or 3 steps).
     #[test]
     fn binned_exact_bitwise_matches_aos_rank_loop(
         dist_i in 0usize..4,
+        shape_i in 0usize..3,
         ranks in prop::sample::select(vec![1usize, 2, 4]),
         rebin in prop::sample::select(vec![1u32, 3, 16]),
-        diffusion in any::<bool>(),
+        lb_interval in prop::sample::select(vec![None, Some(2u32), Some(3)]),
     ) {
-        let dist = distributions()[dist_i];
-        let aos_kernel = RankKernel::aos().with_exchange(ExchangeMode::DenseSync);
-        let aos = bit_finals(&run_impl(dist, ranks, diffusion, aos_kernel));
-        for exchange in [ExchangeMode::DenseSync, ExchangeMode::OverlappedSparse] {
-            let kernel = RankKernel::default()
-                .with_rebin_interval(rebin)
-                .with_exchange(exchange);
-            let binned = bit_finals(&run_impl(dist, ranks, diffusion, kernel));
-            prop_assert_eq!(
-                &aos, &binned,
-                "dist {:?}, {} ranks, rebin {}, diffusion={}, exchange={:?}",
-                dist, ranks, rebin, diffusion, exchange
-            );
-        }
+        let (dist, shape) = (distributions()[dist_i], SHAPES[shape_i]);
+        let s = setup(dist, shape);
+        let aos = bit_finals(&run_setup(&s, ranks, lb_interval, RankKernel::aos()));
+        let kernel = RankKernel::default().with_rebin_interval(rebin);
+        let binned = bit_finals(&run_setup(&s, ranks, lb_interval, kernel));
+        prop_assert_eq!(
+            &aos, &binned,
+            "dist {:?}, {}, {} ranks, rebin {}, lb {:?}",
+            dist, shape.name, ranks, rebin, lb_interval
+        );
     }
 }
 
 /// Every SIMD backend the host offers produces the same bits as the AoS
-/// loop on the exact tier — the lane width is an implementation detail —
-/// under both exchange modes.
+/// loop on the exact tier — the lane width is an implementation detail.
 #[test]
 fn binned_exact_bitwise_identical_across_backends() {
     let dist = Distribution::Geometric { r: 0.9 };
-    let aos = bit_finals(&run_impl(
-        dist,
-        4,
-        true,
-        RankKernel::aos().with_exchange(ExchangeMode::DenseSync),
-    ));
+    let aos = bit_finals(&run_impl(dist, 4, true, RankKernel::aos()));
     for backend in SimdBackend::available() {
-        for exchange in [ExchangeMode::DenseSync, ExchangeMode::OverlappedSparse] {
-            let kernel = RankKernel::default()
-                .with_backend(backend)
-                .with_exchange(exchange);
-            let got = bit_finals(&run_impl(dist, 4, true, kernel));
-            assert_eq!(
-                aos,
-                got,
-                "backend {} exchange {:?}",
-                backend.name(),
-                exchange
-            );
-        }
+        let kernel = RankKernel::default().with_backend(backend);
+        let got = bit_finals(&run_impl(dist, 4, true, kernel));
+        assert_eq!(aos, got, "backend {}", backend.name());
     }
 }
 
-/// The split-phase overlapped path specifically (not the sparse-synchronous
-/// fallback): horizontal-only motion keeps every rank row uncrossable, so
-/// the border/interior column split is active on every binned rank even
-/// under a 2D decomposition. Fast stride (k=2 ⇒ 5 cells/step) plus a
-/// mid-run injection keeps the exchange and the escape machinery busy; the
-/// result must still match the dense synchronous oracle bit for bit.
+/// Every drift shape on every rank count and rebin interval, static and
+/// with cuts moving every 2 steps: the drain window must never miss a
+/// leaver. At 4 ranks (a 2×2 grid) the `m = 1` shape crosses rows, so
+/// every bin drains; the other shapes drain x-edge bins only.
 #[test]
-fn overlapped_split_phase_matches_dense_oracle_bitwise() {
-    let setup = InitConfig::new(
-        Grid::new(32).unwrap(),
-        N,
-        Distribution::Geometric { r: 0.85 },
-    )
-    .with_k(2)
-    .build()
-    .unwrap()
-    .with_event(Event::inject(
-        9,
-        Region {
-            x0: 4,
-            x1: 20,
-            y0: 4,
-            y1: 20,
-        },
-        50,
-        1,
-        0,
-        -1,
-    ));
-    for ranks in [1usize, 2, 4] {
-        for rebin in [1u32, 3, 16] {
-            let mut finals = Vec::new();
-            for exchange in [ExchangeMode::DenseSync, ExchangeMode::OverlappedSparse] {
-                let kernel = RankKernel::default()
-                    .with_rebin_interval(rebin)
-                    .with_exchange(exchange);
-                let cfg = ParConfig::new(setup.clone(), STEPS).with_kernel(kernel);
-                let outcomes = run_threads(ranks, |comm| {
-                    let o = run_baseline(&comm, &cfg);
-                    assert!(o.verify.passed(), "{:?}", o.verify);
-                    o
-                });
-                finals.push(bit_finals(&outcomes));
+fn drift_shapes_match_aos_bitwise() {
+    let dist = Distribution::Geometric { r: 0.85 };
+    for shape in SHAPES {
+        let s = setup(dist, shape);
+        for ranks in [1usize, 2, 4] {
+            for lb_interval in [None, Some(2)] {
+                let aos = bit_finals(&run_setup(&s, ranks, lb_interval, RankKernel::aos()));
+                for rebin in [1u32, 3, 16] {
+                    let kernel = RankKernel::default().with_rebin_interval(rebin);
+                    let got = bit_finals(&run_setup(&s, ranks, lb_interval, kernel));
+                    assert_eq!(
+                        aos, got,
+                        "{}, {ranks} ranks, lb {lb_interval:?}, rebin {rebin}",
+                        shape.name
+                    );
+                }
             }
-            assert_eq!(
-                finals[0], finals[1],
-                "overlapped sparse diverged from dense oracle ({ranks} ranks, rebin {rebin})"
-            );
         }
     }
 }

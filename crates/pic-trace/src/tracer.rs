@@ -131,16 +131,18 @@ pub enum Counter {
     BorderCells,
     /// Bytes pushed through collectives by the recording rank.
     CollectiveBytes,
-    /// Counting-sort (rebin) invocations in the binned store.
+    /// Counting-sort (rebin) invocations in the binned stores, balance
+    /// rounds' re-anchors and gained VP stores included.
     Rebins,
     /// Exchange payload messages actually put on the wire (global sum at
     /// traced steps; the dense pattern sends one per rank pair per step).
     MsgsSent,
-    /// Exchange payload messages the sparse protocol elided (global sum at
-    /// traced steps); `sent + skipped` = what dense would have sent.
+    /// Kept in trace schema v1 from the removed sparse exchange, which
+    /// counted the payload messages it elided; always 0 now.
     MsgsSkipped,
-    /// Nanoseconds the recording rank spent advancing interior columns
-    /// while exchange messages were in flight (the overlap window).
+    /// Kept in trace schema v1 from the removed overlapped exchange, which
+    /// timed the interior sweep run while messages were in flight; always
+    /// 0 now.
     OverlapNs,
 }
 

@@ -96,36 +96,24 @@ ampi_trace_smoke() {
 ampi_trace_smoke '[a-z0-9]*/exact' env
 ampi_trace_smoke 'scalar/exact' env PIC_NO_SIMD=1
 
-echo "==> overlap-mode equivalence pass (overlapped sparse vs dense oracle)"
-# The overlapped sparse exchange (the default) must be bit-identical to
-# the dense synchronous oracle. The proptests pin this in-process; this
-# gate re-runs the cross-mode equivalence suites end to end, vector and
-# forced-scalar, and smokes both CLI modes on every implementation.
-cargo test -q -p pic-par --test rank_kernel_equivalence
-PIC_NO_SIMD=1 cargo test -q -p pic-par --test rank_kernel_equivalence
-for impl in baseline diffusion ampi; do
-    for overlap in on off; do
-        ./target/release/pic --impl "$impl" --ranks 4 --grid 32 \
-            --particles 2000 --steps 30 --k 1 --dist geometric:0.9 \
-            --overlap "$overlap" --quiet | grep -qx PASS
-    done
+echo "==> exchange equivalence pass (drift-reach drain vs AoS rehome)"
+# The binned rank loops drain only the bins a particle can have left its
+# tile from; the AoS loops test every particle. Both must land on the
+# same bits in pic-par and pic-ampi, vector and forced-scalar, and every
+# implementation must PASS on 1, 2 and 4 ranks with a fast stride and
+# with leftward row-crossing drift.
+for simd in env "env PIC_NO_SIMD=1"; do
+    $simd cargo test -q -p pic-par --test rank_kernel_equivalence
+    $simd cargo test -q -p pic-ampi --test rank_kernel_equivalence
 done
-
-echo "==> typed-wire equivalence pass (zero-copy lane vs byte oracle)"
-# The typed zero-copy particle wire (the default) must be bit-identical
-# to the byte-serialization oracle on every implementation and exchange
-# mode. The proptests pin this in-process; this gate re-runs the
-# cross-wire suites end to end, vector and forced-scalar, and smokes
-# both CLI wire formats (crossed with --overlap auto) on every
-# implementation.
-cargo test -q -p pic-par --test wire_format_equivalence
-PIC_NO_SIMD=1 cargo test -q -p pic-par --test wire_format_equivalence
-cargo test -q -p pic-ampi --test rank_kernel_equivalence ampi_typed_wire
 for impl in baseline diffusion ampi; do
-    for wire in typed bytes; do
-        ./target/release/pic --impl "$impl" --ranks 4 --grid 32 \
-            --particles 2000 --steps 30 --k 1 --dist geometric:0.9 \
-            --wire "$wire" --overlap auto --quiet | grep -qx PASS
+    for ranks in 1 2 4; do
+        for drift in "--k 1" "--m 1 --dir -1"; do
+            # shellcheck disable=SC2086
+            ./target/release/pic --impl "$impl" --ranks "$ranks" --grid 32 \
+                --particles 2000 --steps 30 $drift --dist geometric:0.9 \
+                --quiet | grep -qx PASS
+        done
     done
 done
 

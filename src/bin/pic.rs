@@ -19,7 +19,7 @@ use pic_prk::core::init::SkewAxis;
 use pic_prk::par::balance::run_adaptive_traced;
 use pic_prk::par::baseline::run_baseline_traced;
 use pic_prk::par::diffusion::{run_diffusion_mode_traced, DiffusionMode, DiffusionParams};
-use pic_prk::par::runner::{ExchangeMode, ParConfig, ParOutcome, RankKernel, WireFormat};
+use pic_prk::par::runner::{ParConfig, ParOutcome, RankKernel};
 use pic_prk::prelude::*;
 use pic_prk::trace::{trace_simulation, Phase, Tracer};
 use std::io::Write;
@@ -90,24 +90,6 @@ Kernel selection (all implementations):
                       to the AoS loop)
   --rebin R           counting-sort interval for the binned sweeps
                       (steps between re-sorts, default {rebin})
-  --overlap MODE      on | off | auto — particle exchange strategy for
-                      the parallel implementations (default on): on =
-                      sparse neighbor-aware all-to-all, split-phase
-                      overlapped with the interior sweep where the
-                      decomposition allows; off = dense synchronous
-                      alltoallv (the oracle both paths are verified
-                      against); auto = pick per run from the world size
-                      and neighbor density (dense at small P, sparse once
-                      elided messages outweigh the protocol overhead) —
-                      bit-identical results in every mode
-  --wire bytes|typed  particle wire representation for the parallel
-                      implementations (default typed): typed moves the
-                      per-destination particle buffers through the
-                      in-process fabric by ownership — zero serialization,
-                      zero per-particle copies; bytes encodes to the
-                      76-byte portable wire record first (kept as the
-                      serialization oracle) — bit-identical results
-                      either way
 
 Single-process engine (--impl serial):
   --chunk N           chunk size for --sweep soa-chunked / soa-binned
@@ -157,6 +139,31 @@ const AMPI_LB_INTERVAL_DEFAULT: u32 = 10;
 struct Args(Vec<String>);
 
 impl Args {
+    /// Exit 2 on any argument that is not a flag `help()` documents (or
+    /// the value of one), so a misspelt or retired flag cannot run
+    /// silently with the default it was meant to override. Every
+    /// documented flag takes one value except `--quiet` and `--help`.
+    fn reject_unknown(&self) {
+        let help = help();
+        let documented: Vec<&str> = help
+            .lines()
+            .filter_map(|l| l.split_whitespace().next())
+            .filter(|w| w.starts_with("--"))
+            .collect();
+        let mut i = 0;
+        while i < self.0.len() {
+            let a = self.0[i].as_str();
+            if !documented.contains(&a) {
+                bail::<()>(&format!("unknown flag {a}"));
+            }
+            i += if a == "--quiet" || a == "--help" {
+                1
+            } else {
+                2
+            };
+        }
+    }
+
     fn flag(&self, name: &str) -> bool {
         self.0.iter().any(|a| a == name)
     }
@@ -251,6 +258,7 @@ fn main() {
         print!("{}", help());
         return;
     }
+    args.reject_unknown();
     let quiet = args.flag("--quiet");
 
     // Workload.
@@ -334,17 +342,6 @@ fn main() {
     // tier, anything else → the AoS reference loop); without --sweep the
     // ranks run the binned exact tier, bit-identical to the AoS loop.
     let rebin: u32 = args.parse("--rebin", pic_prk::core::bin::DEFAULT_REBIN);
-    let exchange = match args.value("--overlap").unwrap_or("on") {
-        "on" => ExchangeMode::OverlappedSparse,
-        "off" => ExchangeMode::DenseSync,
-        "auto" => ExchangeMode::Auto,
-        other => bail(&format!("bad --overlap value: {other}")),
-    };
-    let wire = match args.value("--wire").unwrap_or("typed") {
-        "typed" => WireFormat::Typed,
-        "bytes" => WireFormat::Bytes,
-        other => bail(&format!("bad --wire value: {other}")),
-    };
     let rank_kernel = match args.value("--sweep") {
         Some(name) => RankKernel::from_sweep(
             SweepMode::from_cli_name(name)
@@ -352,9 +349,7 @@ fn main() {
         ),
         None => RankKernel::default(),
     }
-    .with_rebin_interval(rebin)
-    .with_exchange(exchange)
-    .with_wire(wire);
+    .with_rebin_interval(rebin);
 
     let outcome: Option<ParOutcome> = match implementation.as_str() {
         "serial" => {

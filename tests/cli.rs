@@ -160,6 +160,38 @@ fn bad_arguments_fail_cleanly() {
 }
 
 #[test]
+fn unknown_flags_are_rejected() {
+    // A typo, and the retired exchange knobs (the exchange has one path
+    // now): none may run silently with the default it meant to override.
+    let invocation = |name: &str, value: &str, implementation: &str| {
+        [
+            format!("--{name}"),
+            value.into(),
+            "--impl".into(),
+            implementation.into(),
+        ]
+    };
+    for args in [
+        invocation("overlpa", "off", "baseline"),
+        invocation("overlap", "on", "baseline"),
+        invocation("wire", "bytes", "ampi"),
+    ] {
+        let out = pic().args(&args).output().expect("spawn pic");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("error: unknown flag {}", args[0])),
+            "{args:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} ran before failing");
+    }
+    // Values that look like flags still belong to their flag.
+    let (ok, stdout, _) = run(&["--dir", "-1", "--m", "-1", "--steps", "10", "--quiet"]);
+    assert!(ok);
+    assert_eq!(stdout.trim(), "PASS");
+}
+
+#[test]
 fn help_defaults_match_library_defaults() {
     use pic_prk::par::diffusion::DiffusionParams;
     let (ok, stdout, _) = run(&["--help"]);
